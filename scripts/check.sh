@@ -96,8 +96,18 @@ if [[ "${CHECK_SOAK:-0}" == "1" ]]; then
 fi
 
 echo "== experiments =="
-for b in build/bench/*; do
-  [[ -f "$b" && -x "$b" ]] || continue  # skip CMake droppings
+# The benches are the ones with a source in bench/, not whatever sits in
+# build/bench/: an existing build tree keeps the binary of a deleted bench.
+benches=()
+for src in bench/bench_*.cc; do
+  b="build/bench/$(basename "$src" .cc)"
+  if [[ ! -x "$b" ]]; then
+    echo "FAIL: $src did not build to $b" >&2
+    exit 1
+  fi
+  benches+=("$b")
+done
+for b in "${benches[@]}"; do
   if [[ "${CHECK_BENCH_SMOKE:-0}" == "1" ]]; then
     # Shrunken run: Scaled-aware benches read the env var; bench_micro
     # (google-benchmark) gets a near-zero min_time for one tiny iteration.
@@ -110,8 +120,8 @@ for b in build/bench/*; do
 done
 # Every E* bench must have emitted its machine-readable BENCH_<ID>.json
 # (bench_common.h JsonSink) in the working directory it ran from.
-for b in build/bench/bench_e*; do
-  [[ -f "$b" && -x "$b" ]] || continue
+for b in "${benches[@]}"; do
+  [[ "$(basename "$b")" == bench_e* ]] || continue
   id="$(basename "$b" | sed -E 's/^bench_(e[0-9]+).*/\U\1/')"
   if [[ ! -s "BENCH_${id}.json" ]]; then
     echo "FAIL: $(basename "$b") did not write BENCH_${id}.json" >&2

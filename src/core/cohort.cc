@@ -129,7 +129,6 @@ void Cohort::ResetVolatileState() {
   accepts_.clear();
   pending_records_.clear();
   batch_stash_.clear();
-  batch_decoder_.Reset();
   applied_ts_ = 0;
   adopting_ = false;
   log_recovered_ = false;
@@ -385,7 +384,7 @@ void Cohort::OnFrame(const net::Frame& frame) {
       break;
     }
     case vr::MsgType::kBufferBatch: {
-      auto m = vr::BufferBatchMsg::Decode(r, &batch_decoder_);
+      auto m = vr::BufferBatchMsg::Decode(r);
       if (r.ok() && m.group == group_) OnBufferBatch(m);
       break;
     }

@@ -461,8 +461,7 @@ class Cohort : public net::FrameHandler {
   void OnBufferBatch(const vr::BufferBatchMsg& m);
   void ApplyRecord(const vr::EventRecord& rec);
   void DrainBatchStash();
-  void SendBufferAck(bool gap = false, std::uint64_t gap_hi = 0,
-                     bool codec_reset = false);
+  void SendBufferAck(bool gap = false, std::uint64_t gap_hi = 0);
 
   // ---- snapshot state transfer (txn_server.cc, DESIGN.md §9) ----
   // Primary side: serialize current gstate + history + prepared-txn
@@ -677,9 +676,6 @@ class Cohort : public net::FrameHandler {
   // hole before them fills (bounded; overflow is re-fetched via gap request).
   static constexpr std::size_t kMaxBatchStash = 4096;
   std::map<std::uint64_t, vr::EventRecord> batch_stash_;
-  // Stateful decompressor for the primary's batch stream (DESIGN.md §8);
-  // counterpart of the per-backup BatchEncoder in the primary's CommBuffer.
-  vr::BatchDecoder batch_decoder_;
   // Ack coalescing (options.ack_coalesce_delay): armed while a deferred
   // cumulative ack is pending; the send reads applied_ts_ at fire time.
   host::TimerId ack_timer_ = host::kNoTimer;

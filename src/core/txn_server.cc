@@ -110,13 +110,12 @@ void Cohort::RestoreGstate(const std::vector<std::uint8_t>& bytes) {
 // Backup replication (§3.3)
 // ---------------------------------------------------------------------------
 
-void Cohort::SendBufferAck(bool gap, std::uint64_t gap_hi, bool codec_reset) {
+void Cohort::SendBufferAck(bool gap, std::uint64_t gap_hi) {
   // Coalescing: a gap-free ack only moves the cumulative watermark, so it
   // may wait briefly for later batches and ride out as one frame carrying
-  // the latest applied_ts_. Gap requests (and codec-reset nacks) are urgent
-  // and always sent now (folding any deferred ack into them — the ack field
-  // is cumulative).
-  if (!gap && !codec_reset && options_.ack_coalesce_delay > 0) {
+  // the latest applied_ts_. Gap requests are urgent and always sent now
+  // (folding any deferred ack into them — the ack field is cumulative).
+  if (!gap && options_.ack_coalesce_delay > 0) {
     if (ack_timer_ != host::kNoTimer) {
       ++stats_.acks_coalesced;  // rides the already-scheduled frame
       return;
@@ -143,7 +142,6 @@ void Cohort::SendBufferAck(bool gap, std::uint64_t gap_hi, bool codec_reset) {
   ack.ts = applied_ts_;
   ack.gap = gap;
   ack.gap_hi = gap_hi;
-  ack.codec_reset = codec_reset;
   SendMsg(cur_view_.primary, ack);
 }
 
@@ -231,33 +229,6 @@ void Cohort::OnBufferBatch(const vr::BufferBatchMsg& m) {
   if (rejoin_pending_ && status_ == Status::kActive &&
       m.viewid == cur_viewid_ && m.from == cur_view_.primary) {
     ClearRejoin();
-  }
-  if (m.stale) {
-    // Duplicate of a compressed batch already consumed. The resend means our
-    // ack for it was lost: the primary may have rewound to a checkpoint
-    // behind our watermark and will replay this range forever unless it
-    // learns where we really are. Re-send the cumulative ack.
-    if (status_ == Status::kActive && m.viewid == cur_viewid_ &&
-        m.from == cur_view_.primary && cur_view_.primary != self_) {
-      SendBufferAck();
-    }
-    return;
-  }
-  if (m.unsynced) {
-    // A compressed batch arrived whose dictionary context we missed (lost
-    // predecessor, or we were reset). Nack the whole range: the primary's
-    // resend restores sync in one round trip — via a checkpoint rewind when
-    // its encoder has one covering our watermark, else (reset_needed: we
-    // never bound to its stream, or its generation is ahead of ours) via a
-    // fresh codec generation, which the codec_reset flag demands explicitly.
-    // Only meaningful in steady state from our current primary.
-    if (status_ == Status::kActive && m.viewid == cur_viewid_ &&
-        m.from == cur_view_.primary && cur_view_.primary != self_ &&
-        m.last_ts > applied_ts_) {
-      ++stats_.gap_requests_sent;
-      SendBufferAck(true, m.last_ts, m.reset_needed);
-    }
-    return;
   }
   if (m.events.empty()) return;
   const vr::EventRecord& first = m.events.front();
@@ -488,7 +459,6 @@ bool Cohort::InstallSnapshot(Viewstamp vs,
   // Everything the record stream had in flight is superseded wholesale.
   pending_records_.clear();
   batch_stash_.clear();
-  batch_decoder_.Reset();
   applied_ts_ = vs.ts;
   installing_snapshot_ = false;
   // Every restored base version is conservatively treated as committed at

@@ -48,7 +48,15 @@ SocketTransport::SocketTransport(EventLoop& loop, net::NodeId self,
                                  const AddressMap& peers)
     : loop_(loop), self_(self), peers_(peers) {}
 
-SocketTransport::~SocketTransport() { Shutdown(); }
+SocketTransport::~SocketTransport() {
+  Shutdown();
+  // The owner stops the loop before destroying the transport, so no thread
+  // can be inside Send any more: the outbound sockets Shutdown left open
+  // are closed only now.
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto& [node, fd] : conns_) ::close(fd);
+  conns_.clear();
+}
 
 std::uint16_t SocketTransport::Listen(std::uint16_t port) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -226,23 +234,26 @@ SocketTransport::Stats SocketTransport::stats() const {
 void SocketTransport::Shutdown() {
   std::thread acceptor;
   std::vector<std::thread> readers;
+  int listen_fd = -1;
   {
+    // Only ::shutdown here, never ::close: another thread may still be
+    // blocked on (or about to use) any of these fds, and a closed fd number
+    // can be reused at once — a late accept or write would then hit a
+    // stranger's socket. ::shutdown wakes those threads with an error
+    // instead, and queued outbound bytes still drain to the peer.
     std::lock_guard<std::mutex> lock(mu_);
     if (shutdown_) return;
     shutdown_ = true;
-    if (listen_fd_ >= 0) {
-      ::shutdown(listen_fd_, SHUT_RDWR);
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-    }
+    listen_fd = std::exchange(listen_fd_, -1);
+    if (listen_fd >= 0) ::shutdown(listen_fd, SHUT_RDWR);
     for (int fd : accepted_) ::shutdown(fd, SHUT_RDWR);  // readers close them
     accepted_.clear();
-    for (auto& [node, fd] : conns_) ::close(fd);
-    conns_.clear();
+    for (auto& [node, fd] : conns_) ::shutdown(fd, SHUT_RDWR);  // see dtor
     acceptor = std::move(acceptor_);
     readers = std::move(readers_);
   }
   if (acceptor.joinable()) acceptor.join();
+  if (listen_fd >= 0) ::close(listen_fd);  // the acceptor has returned
   for (auto& t : readers) {
     if (t.joinable()) t.join();
   }

@@ -55,9 +55,12 @@ class SocketTransport final : public net::Transport {
   // sealed.
   std::uint16_t Listen(std::uint16_t port = 0);
 
-  // Stops the accept and reader threads and closes every socket. Frames
+  // Stops the accept and reader threads and shuts every socket down. Frames
   // already handed to the kernel by Send() are NOT revoked — a peer that
   // keeps running still receives them (the conformance suite checks this).
+  // Outbound sockets stay open until the destructor: the loop thread may
+  // still be writing to one, so the loop must be stopped before the
+  // transport is destroyed.
   void Shutdown();
 
   // net::Transport -------------------------------------------------------

@@ -346,66 +346,6 @@ TEST(Dedup, DuplicatePrepareIsAnsweredIdempotently) {
   EXPECT_EQ(aborts, 0u);  // no duplicate ever tripped the refusal path
 }
 
-
-TEST(Replication, CompressedStreamRecoversUnderLossLikeRaw) {
-  // The gap-request recovery test again, but with the replication stream
-  // dictionary/delta-compressed (DESIGN.md §8). The stateful codec must ride
-  // out 20% frame loss — every lost batch is a sync loss for the decoder,
-  // healed by a nack plus a reset batch — without losing or corrupting a
-  // single commit. Same seed and workload as the raw test above, so any
-  // divergence in outcome points at the codec.
-  ClusterOptions opts;
-  opts.seed = 95;
-  opts.net.loss_probability = 0.20;
-  opts.cohort.buffer.compression = vr::CompressionMode::kDict;
-  Cluster cluster(opts);
-  auto kv = cluster.AddGroup("kv", 3);
-  auto agents = cluster.AddGroup("agents", 3);
-  RegisterKvProcs(cluster, kv);
-  cluster.Start();
-  ASSERT_TRUE(cluster.RunUntilStable());
-
-  int committed = 0;
-  for (int i = 0; i < 40; ++i) {
-    if (test::RunOneCallWithRetry(cluster, agents, kv, "add", "ctr=1") ==
-        vr::TxnOutcome::kCommitted) {
-      ++committed;
-    }
-  }
-  cluster.RunFor(2 * sim::kSecond);
-  ASSERT_GT(committed, 0);
-  EXPECT_EQ(test::CommittedValue(cluster, kv, "ctr"),
-            std::to_string(committed));
-
-  // The compressed-stream recovery machinery was actually exercised: frames
-  // were lost, decoders nacked, and encoders re-opened their streams with
-  // fresh generations.
-  std::uint64_t gap_sent = 0, gap_honored = 0;
-  std::uint64_t batches = 0, resets = 0, rewinds = 0, dict_hits = 0;
-  for (auto* c : cluster.Cohorts(kv)) {
-    gap_sent += c->stats().gap_requests_sent;
-    gap_honored += c->buffer().stats().gap_requests;
-    for (auto* b : cluster.Cohorts(kv)) {
-      if (const vr::CodecStats* cs = c->buffer().encoder_stats(b->mid())) {
-        batches += cs->batches;
-        resets += cs->resets;
-        rewinds += cs->rewinds;
-        dict_hits += cs->dict_hits;
-      }
-    }
-  }
-  EXPECT_GT(gap_sent, 0u);
-  EXPECT_GT(gap_honored, 0u);
-  EXPECT_GT(batches, 0u);
-  // Every recovery beyond the two view-start resets is either a checkpoint
-  // rewind (dictionary preserved — the common case now that encoders keep a
-  // replayable checkpoint at the ack) or a fresh-generation reset.
-  EXPECT_GE(resets, 2u);
-  EXPECT_GT(resets + rewinds, 2u);
-  EXPECT_GT(rewinds, 0u);
-  EXPECT_GT(dict_hits, 0u);
-}
-
 TEST(Replication, AckCoalescingReducesAckFramesWithoutLosingCommits) {
   // Two identical workloads of pipelined transactions; the second defers
   // gap-free backup acks for up to 2ms and merges whatever batches land in

@@ -8,8 +8,11 @@
 // Wall-clock, nondeterministic by design: NOT part of the digest suites.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "host/loopback.h"
@@ -24,6 +27,23 @@ core::TxnBody OpenTxn(vr::GroupId bank, const std::string& acct,
     co_await h.Call(bank, "open", acct + "=" + std::to_string(amount));
     co_return true;
   };
+}
+
+// A client hears "committed" once the coordinator buffers its decision
+// (fused 2PC, DESIGN.md §13); a participant applies the commit only when
+// the commit message lands. Waits (up to 10 s) until node `idx` holds no
+// tentative version or lock, so every reported commit is readable there.
+void WaitUntilSettled(host::LoopbackCluster& cluster, std::size_t idx) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (;;) {
+    std::size_t unsettled = 0;
+    cluster.RunOn(idx, [&](core::Cohort& c) {
+      unsettled = c.objects().tentative_count() + c.objects().lock_count();
+    });
+    if (unsettled == 0 || std::chrono::steady_clock::now() > deadline) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 }
 
 TEST(SocketHost, ThreeReplicaGroupCommitsAndSurvivesPrimaryKill) {
@@ -85,6 +105,7 @@ TEST(SocketHost, ThreeReplicaGroupCommitsAndSurvivesPrimaryKill) {
   ASSERT_TRUE(cluster.WaitUntilStable(bank));
 
   // The money is conserved: read committed balances at the new primary.
+  WaitUntilSettled(cluster, *new_primary);
   long long total = 0;
   cluster.RunOn(*new_primary, [&](core::Cohort& c) {
     for (int a = 0; a < kAccounts; ++a) {
@@ -164,6 +185,7 @@ TEST(SocketHost, CrossGroupFusedCommitsConserveMoneyAcrossPrimaryKill) {
   for (auto [g, acct] : {std::pair{bank_a, "a0"}, std::pair{bank_b, "b0"}}) {
     const auto p = cluster.PrimaryIndex(g);
     ASSERT_TRUE(p.has_value());
+    WaitUntilSettled(cluster, *p);
     cluster.RunOn(*p, [&, acct = acct](core::Cohort& c) {
       auto v = c.objects().ReadCommitted(acct);
       if (v && !v->empty()) total += std::stoll(*v);
@@ -180,6 +202,45 @@ TEST(SocketHost, CrossGroupFusedCommitsConserveMoneyAcrossPrimaryKill) {
                 [&](core::Cohort& c) { fused = c.stats().fused_commits; });
   EXPECT_GE(fused, static_cast<std::uint64_t>(kTxns));
 
+  cluster.Shutdown();
+}
+
+// Tearing a cluster down mid-stream: pipelined deposits keep the call,
+// replication and commit streams busy, so every node's loop thread may be
+// inside a socket write when Shutdown shuts the transports down. No socket
+// may be closed while a loop thread can still write to it — once its number
+// is reused, a late write would land on a stranger's connection. Under
+// ThreadSanitizer (CHECK_REAL_HOST=1) this test is the check for that.
+TEST(SocketHost, ShutdownWithPipelinedTrafficInFlight) {
+  constexpr int kTxns = 400;
+  constexpr int kDoneBeforeShutdown = 50;
+
+  host::LoopbackCluster cluster;
+  const vr::GroupId bank = cluster.AddGroup("bank", 3);
+  const vr::GroupId client = cluster.AddGroup("client", 1);
+  for (core::Cohort* c : cluster.Cohorts(bank)) {
+    workload::RegisterBankProcs(*c);
+  }
+  cluster.Start();
+  ASSERT_TRUE(cluster.WaitUntilStable(bank));
+  ASSERT_TRUE(cluster.WaitUntilStable(client));
+  const auto coord = cluster.PrimaryIndex(client);
+  ASSERT_TRUE(coord.has_value());
+
+  // All spawned at once, over 16 accounts so most run concurrently.
+  std::atomic<int> done{0};
+  for (int t = 0; t < kTxns; ++t) {
+    cluster.SpawnTransactionOn(
+        *coord, workload::MakeDepositTxn(bank, "a" + std::to_string(t % 16), 1),
+        [&done](core::TxnOutcome) { ++done; });
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (done < kDoneBeforeShutdown &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  ASSERT_GE(done, kDoneBeforeShutdown);
   cluster.Shutdown();
 }
 
