@@ -402,6 +402,8 @@ class Cohort : public net::FrameHandler {
  private:
   friend class ProcContext;
   friend class TxnHandle;
+  // Golden-bytes tests reach the payload builders (layout_golden_test.cc).
+  friend struct CohortTestPeer;
 
   // ---- generic helpers (cohort.cc) ----
   template <typename M>
