@@ -20,7 +20,7 @@ struct RunStats {
   double txn_per_sim_sec = 0;
 };
 
-RunStats Measure(std::size_t replicas, sim::Duration flush_delay,
+RunStats Measure(std::size_t replicas, host::Duration flush_delay,
                  int inflight) {
   ClusterOptions opts;
   opts.seed = 11000 + replicas + flush_delay + inflight;
@@ -35,20 +35,20 @@ RunStats Measure(std::size_t replicas, sim::Duration flush_delay,
 
   cluster.network().ResetStats();
   const int kTxns = 200;
-  const sim::Time start = cluster.sim().Now();
+  const host::Time start = cluster.sim().Now();
   if (inflight <= 1) {
     auto phases = bench::MeasureTxnPhases(cluster, client_g, server, kTxns);
     out.decision_us = phases.decision.Mean();
     out.call_us = phases.call.Mean();
     out.txn_per_sim_sec =
         static_cast<double>(phases.committed) /
-        (static_cast<double>(cluster.sim().Now() - start) / sim::kSecond);
+        (static_cast<double>(cluster.sim().Now() - start) / host::kSecond);
   } else {
     workload::ClosedLoopDriver driver(
         cluster, client_g,
         [&](std::uint64_t i) {
           const std::string args = "k" + std::to_string(i % 64) + "=v";
-          return [args, server](core::TxnHandle& h) -> sim::Task<bool> {
+          return [args, server](core::TxnHandle& h) -> host::Task<bool> {
             co_await h.Call(server, "put", args);
             co_return true;
           };
@@ -58,7 +58,7 @@ RunStats Measure(std::size_t replicas, sim::Duration flush_delay,
     out.decision_us = 0;
     out.txn_per_sim_sec =
         static_cast<double>(driver.accounting().committed) /
-        (static_cast<double>(cluster.sim().Now() - start) / sim::kSecond);
+        (static_cast<double>(cluster.sim().Now() - start) / host::kSecond);
   }
   std::uint64_t total = 0;
   for (const auto& [type, count] : cluster.network().stats().sent_by_type) {
@@ -82,26 +82,26 @@ int main() {
   bench::Row("     (n=3: force waits for 1 of 2 backups; n=2: the single");
   bench::Row("     backup IS the sub-majority — the force-all tail):");
   for (std::size_t n : {2u, 3u, 5u}) {
-    auto r = Measure(n, 500 * sim::kMicrosecond, 1);
+    auto r = Measure(n, 500 * host::kMicrosecond, 1);
     bench::Row("     n=%zu: decision %6.0fus  (waits for %zu of %zu backups)",
                n, r.decision_us, vr::SubMajorityOf(n), n - 1);
   }
 
   bench::Row("\n  2) Background flush (batching) delay sweep, n=3:");
   bench::Row("     %-12s | decision latency | data msgs/txn", "flush delay");
-  for (sim::Duration d :
-       {sim::Duration{0}, 200 * sim::kMicrosecond, 500 * sim::kMicrosecond,
-        2 * sim::kMillisecond, 10 * sim::kMillisecond}) {
+  for (host::Duration d :
+       {host::Duration{0}, 200 * host::kMicrosecond, 500 * host::kMicrosecond,
+        2 * host::kMillisecond, 10 * host::kMillisecond}) {
     auto r = Measure(3, d, 1);
     bench::Row("     %-12s | %10.0fus     | %6.1f",
-               sim::FormatDuration(d).c_str(), r.decision_us, r.msgs_per_txn);
+               host::FormatDuration(d).c_str(), r.decision_us, r.msgs_per_txn);
   }
   bench::Row("     (bigger batches -> fewer messages but later acks, so the");
   bench::Row("      commit-time force waits longer: classic batching trade)");
 
   bench::Row("\n  3) Throughput vs pipeline depth, n=3 (closed loop):");
   for (int inflight : {1, 2, 4, 8, 16}) {
-    auto r = Measure(3, 500 * sim::kMicrosecond, inflight);
+    auto r = Measure(3, 500 * host::kMicrosecond, inflight);
     bench::Row("     inflight %2d : %8.0f txn/s (simulated), %5.1f msgs/txn",
                inflight, r.txn_per_sim_sec, r.msgs_per_txn);
   }

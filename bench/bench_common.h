@@ -154,20 +154,20 @@ struct PhaseLatencies {
 inline PhaseLatencies MeasureTxnPhases(client::Cluster& cluster,
                                        vr::GroupId client_g,
                                        vr::GroupId server_g, int txns,
-                                       sim::Duration think_time = 0) {
+                                       host::Duration think_time = 0) {
   PhaseLatencies out;
   for (int i = 0; i < txns; ++i) {
     core::Cohort* primary = cluster.AnyPrimary(client_g);
     if (primary == nullptr) break;
     bool done = false;
-    sim::Time start = cluster.sim().Now();
-    sim::Time call_done = start;
+    host::Time start = cluster.sim().Now();
+    host::Time call_done = start;
     const std::string args = "k" + std::to_string(i % 16) + "=v";
     sim::Scheduler* sched = &cluster.sim().scheduler();
     primary->SpawnTransaction(
-        [&, server_g, sched](core::TxnHandle& h) -> sim::Task<bool> {
+        [&, server_g, sched](core::TxnHandle& h) -> host::Task<bool> {
           co_await h.Call(server_g, "put", args);
-          if (think_time > 0) co_await sim::Sleep(*sched, think_time);
+          if (think_time > 0) co_await host::Sleep(*sched, think_time);
           call_done = cluster.sim().Now();
           co_return true;
         },
@@ -182,9 +182,9 @@ inline PhaseLatencies MeasureTxnPhases(client::Cluster& cluster,
             ++out.aborted;
           }
         });
-    const sim::Time deadline = cluster.sim().Now() + 10 * sim::kSecond;
+    const host::Time deadline = cluster.sim().Now() + 10 * host::kSecond;
     while (!done && cluster.sim().Now() < deadline) {
-      cluster.RunFor(1 * sim::kMillisecond);
+      cluster.RunFor(1 * host::kMillisecond);
     }
   }
   return out;

@@ -43,7 +43,7 @@ CatchUpResult Run(bool snapshot_on, int lag_txns, std::uint64_t seed) {
   opts.seed = seed;
   // Failure detection stays out of the way: this measures state transfer,
   // not elections.
-  opts.cohort.liveness_timeout = 60 * sim::kSecond;
+  opts.cohort.liveness_timeout = 60 * host::kSecond;
   opts.cohort.buffer.window = kWindow;
   opts.cohort.buffer.snapshot_catchup = snapshot_on;
   opts.cohort.snapshot.chunk_size = 256;
@@ -80,7 +80,7 @@ CatchUpResult Run(bool snapshot_on, int lag_txns, std::uint64_t seed) {
     r.resident_peak =
         std::max(r.resident_peak, primary->buffer().records().size());
   }
-  cluster.RunFor(200 * sim::kMillisecond);
+  cluster.RunFor(200 * host::kMillisecond);
   r.resident_peak =
       std::max(r.resident_peak, primary->buffer().records().size());
   const std::uint64_t target = primary->buffer().last_ts();
@@ -91,13 +91,13 @@ CatchUpResult Run(bool snapshot_on, int lag_txns, std::uint64_t seed) {
                               BytesOf(cluster, vr::MsgType::kSnapshotAck);
   const std::uint64_t batch0 = BytesOf(cluster, vr::MsgType::kBufferBatch);
   cluster.network().SetLinkDown(primary->mid(), laggard->mid(), false);
-  const sim::Time heal_time = cluster.sim().Now();
-  const sim::Time deadline = heal_time + 30 * sim::kSecond;
+  const host::Time heal_time = cluster.sim().Now();
+  const host::Time deadline = heal_time + 30 * host::kSecond;
   while (laggard->applied_ts() < target && cluster.sim().Now() < deadline) {
-    cluster.RunFor(100 * sim::kMicrosecond);
+    cluster.RunFor(100 * host::kMicrosecond);
   }
   r.catchup_ms = static_cast<double>(cluster.sim().Now() - heal_time) /
-                 sim::kMillisecond;
+                 host::kMillisecond;
   r.snap_bytes = BytesOf(cluster, vr::MsgType::kSnapshotChunk) +
                  BytesOf(cluster, vr::MsgType::kSnapshotAck) - snap0;
   r.batch_bytes = BytesOf(cluster, vr::MsgType::kBufferBatch) - batch0;

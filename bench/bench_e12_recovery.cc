@@ -36,7 +36,7 @@ std::size_t IndexOfPrimary(Cluster& cluster, vr::GroupId g) {
 }
 
 // Group-commit interval + force latency + slack.
-constexpr sim::Duration kLogSettle = 100 * sim::kMillisecond;
+constexpr host::Duration kLogSettle = 100 * host::kMillisecond;
 
 // -- 1. replay cost ---------------------------------------------------------
 
@@ -51,7 +51,7 @@ struct ReplayResult {
 ReplayResult MeasureReplay(int committed_before_crash) {
   ReplayResult out;
   core::CohortOptions opts = LoggedOptions();
-  opts.liveness_timeout = 60 * sim::kSecond;  // isolate replay from elections
+  opts.liveness_timeout = 60 * host::kSecond;  // isolate replay from elections
   ClusterOptions copts;
   copts.seed = 1200 + committed_before_crash;
   Cluster cluster(copts);
@@ -73,7 +73,7 @@ ReplayResult MeasureReplay(int committed_before_crash) {
   cluster.RunFor(kLogSettle);
 
   backup.Crash();
-  cluster.RunFor(10 * sim::kMillisecond);
+  cluster.RunFor(10 * host::kMillisecond);
   const auto wall_start = std::chrono::steady_clock::now();
   backup.Recover();
   const auto wall_end = std::chrono::steady_clock::now();
@@ -96,7 +96,7 @@ struct RejoinResult {
 RejoinResult MeasureRejoin(int missed_while_down, std::size_t window) {
   RejoinResult out;
   core::CohortOptions opts = LoggedOptions();
-  opts.liveness_timeout = 60 * sim::kSecond;
+  opts.liveness_timeout = 60 * host::kSecond;
   opts.buffer.window = window;
   ClusterOptions copts;
   copts.seed = 1300 + missed_while_down + static_cast<int>(window);
@@ -124,14 +124,14 @@ RejoinResult MeasureRejoin(int missed_while_down, std::size_t window) {
       return out;
     }
   }
-  cluster.RunFor(100 * sim::kMillisecond);
+  cluster.RunFor(100 * host::kMillisecond);
 
-  const sim::Time start = cluster.sim().Now();
+  const host::Time start = cluster.sim().Now();
   backup.Recover();
-  const sim::Time deadline = start + 20 * sim::kSecond;
+  const host::Time deadline = start + 20 * host::kSecond;
   while (backup.applied_ts() < primary.buffer().last_ts() &&
          cluster.sim().Now() < deadline) {
-    cluster.RunFor(1 * sim::kMillisecond);
+    cluster.RunFor(1 * host::kMillisecond);
   }
   out.catchup_us = static_cast<double>(cluster.sim().Now() - start);
   out.snapshots = backup.stats().snapshots_installed;
@@ -167,7 +167,7 @@ StormResult RunStorms(std::size_t diskless, int trials) {
     ++out.trials;
 
     for (std::size_t i = 0; i < 3; ++i) cluster.Crash(g, i);
-    cluster.RunFor(50 * sim::kMillisecond);
+    cluster.RunFor(50 * host::kMillisecond);
     // The first `diskless` cohorts lost their disks in the storm.
     for (std::size_t i = 0; i < 3; ++i) {
       if (i < diskless) {
@@ -176,7 +176,7 @@ StormResult RunStorms(std::size_t diskless, int trials) {
         cluster.Recover(g, i);
       }
     }
-    if (!cluster.RunUntilStable(15 * sim::kSecond)) continue;
+    if (!cluster.RunUntilStable(15 * host::kSecond)) continue;
     ++out.survived;
     if (test::CommittedValue(cluster, g, "vital") != "data") ++out.wrong_views;
   }

@@ -45,7 +45,7 @@ RunResult RunTransfers(std::uint64_t seed, std::size_t shards, int txns,
                        double cross_fraction, int max_inflight = 8,
                        bool spread_coordinators = false,
                        int accounts = kAccounts,
-                       sim::Duration call_service_time = 0) {
+                       host::Duration call_service_time = 0) {
   ClusterOptions copts{.seed = seed};
   copts.cohort.call_service_time = call_service_time;
   Cluster cluster(copts);
@@ -89,7 +89,7 @@ RunResult RunTransfers(std::uint64_t seed, std::size_t shards, int txns,
     }
   };
 
-  const sim::Time t0 = cluster.sim().Now();
+  const host::Time t0 = cluster.sim().Now();
   workload::DriverOptions opts;
   opts.total_txns = txns;
   opts.max_inflight = max_inflight;
@@ -107,8 +107,8 @@ RunResult RunTransfers(std::uint64_t seed, std::size_t shards, int txns,
       opts);
   driver.Run();
   const double secs =
-      static_cast<double>(cluster.sim().Now() - t0) / sim::kSecond;
-  cluster.RunFor(2 * sim::kSecond);
+      static_cast<double>(cluster.sim().Now() - t0) / host::kSecond;
+  cluster.RunFor(2 * host::kSecond);
 
   out.committed = driver.accounting().committed;
   out.aborted = driver.accounting().aborted;
@@ -186,7 +186,7 @@ RebalanceResult RunRebalanceUnderLoad(std::uint64_t seed, int txns) {
       opts);
 
   bool move_done = false, move_ok = false;
-  cluster.sim().scheduler().After(100 * sim::kMillisecond, [&] {
+  cluster.sim().scheduler().After(100 * host::kMillisecond, [&] {
     const core::ShardRange* r =
         cluster.directory().Route(workload::ShardAccountName(0));
     if (r == nullptr) return;
@@ -198,16 +198,16 @@ RebalanceResult RunRebalanceUnderLoad(std::uint64_t seed, int txns) {
 
   driver.Run();
   for (int i = 0; i < 1000 && !move_done; ++i) {
-    cluster.RunFor(10 * sim::kMillisecond);
+    cluster.RunFor(10 * host::kMillisecond);
   }
-  cluster.RunFor(2 * sim::kSecond);
+  cluster.RunFor(2 * host::kSecond);
 
   out.move_completed = move_done && move_ok;
   out.move_ms = static_cast<double>(rebalancer.stats().last_move_duration) /
-                sim::kMillisecond;
+                host::kMillisecond;
   out.handoff_ms =
       static_cast<double>(rebalancer.stats().last_handoff_window) /
-      sim::kMillisecond;
+      host::kMillisecond;
   out.committed = driver.accounting().committed;
   out.aborted_final = driver.accounting().aborted;
   out.unknown = driver.accounting().unknown;
@@ -251,7 +251,7 @@ int main() {
   // time the simulator charges only network latency, one group absorbs
   // unbounded load, and the sweep would be flat by construction.
   const int sweep_accounts = 96;
-  const sim::Duration service = 500 * sim::kMicrosecond;
+  const host::Duration service = 500 * host::kMicrosecond;
   bench::Row("\n  -- throughput vs shard count (%d transfers, 90%% shard-local,",
              txns);
   bench::Row("  --   %d accounts, 500us/call service time, 32 in flight)",

@@ -62,7 +62,7 @@ WorldResult RunWorld(bool backup_reads) {
   // show: every call and every served read charges this much serial CPU
   // (well above the ~600us network round trip, so the serial resource —
   // not the wire — is the bottleneck the leases relieve).
-  opts.cohort.call_service_time = 300 * sim::kMicrosecond;
+  opts.cohort.call_service_time = 300 * host::kMicrosecond;
   Cluster cluster(opts);
   auto catalog = cluster.AddGroup("catalog", 3);
   auto client_g = cluster.AddGroup("client", 3);
@@ -81,16 +81,16 @@ WorldResult RunWorld(bool backup_reads) {
           done = true;
           committed = o == vr::TxnOutcome::kCommitted;
         });
-    const sim::Time deadline = cluster.sim().Now() + 5 * sim::kSecond;
+    const host::Time deadline = cluster.sim().Now() + 5 * host::kSecond;
     while (!done && cluster.sim().Now() < deadline) {
-      cluster.RunFor(1 * sim::kMillisecond);
+      cluster.RunFor(1 * host::kMillisecond);
     }
     if (!committed) return out;
   }
-  cluster.RunFor(200 * sim::kMillisecond);  // let seeding acks drain
+  cluster.RunFor(200 * host::kMillisecond);  // let seeding acks drain
 
   sim::Scheduler& sched = cluster.sim().scheduler();
-  sim::TaskRegistry tasks(sched);
+  host::TaskRegistry tasks(sched);
   bool stop = false;
 
   // Closed-loop readers, one ReadClient each (distinct session horizons).
@@ -102,7 +102,7 @@ WorldResult RunWorld(bool backup_reads) {
         cluster.AllocateMid(), opts.cohort));
   }
   auto reader_loop = [&](client::ReadClient* rc, ReaderState* st,
-                         std::uint64_t seed) -> sim::Task<void> {
+                         std::uint64_t seed) -> host::Task<void> {
     sim::Rng rng(seed);
     while (!stop) {
       const std::string item =
@@ -125,16 +125,16 @@ WorldResult RunWorld(bool backup_reads) {
   // Closed-loop writer: version bumps keep the replication (and therefore
   // lease-renewal) traffic flowing and give the audit something to catch.
   workload::LatencyRecorder write_latency;
-  auto writer_loop = [&]() -> sim::Task<void> {
+  auto writer_loop = [&]() -> host::Task<void> {
     sim::Rng rng(77);
     while (!stop) {
       core::Cohort* coord = cluster.AnyPrimary(client_g);
       if (coord == nullptr) {
-        co_await sim::Sleep(sched, 1 * sim::kMillisecond);
+        co_await host::Sleep(sched, 1 * host::kMillisecond);
         continue;
       }
       bool done = false;
-      const sim::Time start = cluster.sim().Now();
+      const host::Time start = cluster.sim().Now();
       coord->SpawnTransaction(
           workload::MakeCatalogBumpTxn(
               catalog,
@@ -146,19 +146,19 @@ WorldResult RunWorld(bool backup_reads) {
               write_latency.Add(cluster.sim().Now() - start);
             }
           });
-      while (!done) co_await sim::Sleep(sched, 100 * sim::kMicrosecond);
+      while (!done) co_await host::Sleep(sched, 100 * host::kMicrosecond);
     }
   };
   tasks.Spawn(writer_loop());
 
-  const sim::Duration window =
-      static_cast<sim::Duration>(bench::Scaled(3000)) * sim::kMillisecond;
-  const sim::Time t0 = cluster.sim().Now();
+  const host::Duration window =
+      static_cast<host::Duration>(bench::Scaled(3000)) * host::kMillisecond;
+  const host::Time t0 = cluster.sim().Now();
   cluster.RunFor(window);
   stop = true;
-  cluster.RunFor(100 * sim::kMillisecond);  // drain in-flight loops
+  cluster.RunFor(100 * host::kMillisecond);  // drain in-flight loops
   const double secs =
-      static_cast<double>(cluster.sim().Now() - t0) / sim::kSecond;
+      static_cast<double>(cluster.sim().Now() - t0) / host::kSecond;
 
   for (const ReaderState& st : readers) {
     out.reads += st.reads;

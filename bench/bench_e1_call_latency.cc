@@ -30,7 +30,7 @@ void RunVrRow(std::size_t replicas) {
   cluster.network().ResetStats();
   const int kTxns = 200;
   auto phases = bench::MeasureTxnPhases(cluster, client_g, server, kTxns);
-  cluster.RunFor(1 * sim::kSecond);  // drain background traffic
+  cluster.RunFor(1 * host::kSecond);  // drain background traffic
 
   const auto& net = cluster.network().stats();
   const double batches =

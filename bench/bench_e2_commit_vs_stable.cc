@@ -22,7 +22,7 @@ namespace {
 using client::Cluster;
 using client::ClusterOptions;
 
-double VrDecisionLatency(std::size_t replicas, sim::Duration think_time,
+double VrDecisionLatency(std::size_t replicas, host::Duration think_time,
                          std::uint64_t* immediate_pct) {
   ClusterOptions opts;
   opts.seed = 2000 + replicas + think_time;
@@ -51,8 +51,8 @@ double VrDecisionLatency(std::size_t replicas, sim::Duration think_time,
 
 // §5's own proposal: viewstamped non-replicated server (write-behind log,
 // prepare forces only the unwritten suffix).
-double ViewstampedStableDecisionLatency(sim::Duration force_latency,
-                                        sim::Duration think,
+double ViewstampedStableDecisionLatency(host::Duration force_latency,
+                                        host::Duration think,
                                         std::uint64_t* immediate_pct) {
   sim::Simulation simulation(2998);
   net::Network network(simulation, {});
@@ -102,7 +102,7 @@ void ReplicationEfficiency(std::size_t replicas) {
       ++committed;
     }
   }
-  cluster.RunFor(1 * sim::kSecond);
+  cluster.RunFor(1 * host::kSecond);
   vr::CommBuffer::Stats agg;
   std::uint64_t commits_applied = 0;
   for (auto* c : cluster.Cohorts(server)) {
@@ -157,7 +157,7 @@ FusionResult FusionAblation(bool fusion) {
   cluster.Start();
   if (!cluster.RunUntilStable()) return out;
   if (workload::FundShardedAccounts(cluster, bank, 1000) != 12) return out;
-  cluster.RunFor(1 * sim::kSecond);
+  cluster.RunFor(1 * host::kSecond);
 
   // Snapshot after funding so the single-shard funding txns don't pollute
   // the per-commit arithmetic.
@@ -178,7 +178,7 @@ FusionResult FusionAblation(bool fusion) {
     const int from = static_cast<int>(rng.Index(6));
     const int to = 6 + static_cast<int>(rng.Index(6));
     bool done = false;
-    const sim::Time start = cluster.sim().Now();
+    const host::Time start = cluster.sim().Now();
     coord->SpawnTransaction(
         workload::MakeShardedTransferTxn(
             router, workload::ShardAccountName(from),
@@ -190,12 +190,12 @@ FusionResult FusionAblation(bool fusion) {
             decision.Add(cluster.sim().Now() - start);
           }
         });
-    const sim::Time deadline = cluster.sim().Now() + 10 * sim::kSecond;
+    const host::Time deadline = cluster.sim().Now() + 10 * host::kSecond;
     while (!done && cluster.sim().Now() < deadline) {
-      cluster.RunFor(1 * sim::kMillisecond);
+      cluster.RunFor(1 * host::kMillisecond);
     }
   }
-  cluster.RunFor(2 * sim::kSecond);  // let background fan-outs finish
+  cluster.RunFor(2 * host::kSecond);  // let background fan-outs finish
 
   if (out.committed == 0) return out;
   out.decision_us = decision.Mean();
@@ -217,7 +217,7 @@ FusionResult FusionAblation(bool fusion) {
   return out;
 }
 
-double StableDecisionLatency(sim::Duration force_latency) {
+double StableDecisionLatency(host::Duration force_latency) {
   sim::Simulation simulation(2999);
   net::Network network(simulation, {});
   storage::StableStoreOptions sopts;
@@ -252,7 +252,7 @@ int main() {
   const double vr3 = VrDecisionLatency(3, 0, &immediate);
   std::uint64_t immediate_think = 0;
   const double vr3_think =
-      VrDecisionLatency(3, 5 * sim::kMillisecond, &immediate_think);
+      VrDecisionLatency(3, 5 * host::kMillisecond, &immediate_think);
   const double vr5 = VrDecisionLatency(5, 0, nullptr);
   const double vr7 = VrDecisionLatency(7, 0, nullptr);
   bench::Row("  VR (n=3)  decision latency: %8.0fus   (forces immediate: %llu%%)",
@@ -268,15 +268,15 @@ int main() {
   bench::Row("\n  Non-replicated decision latency vs stable-storage force time:");
   struct SweepPoint {
     const char* label;
-    sim::Duration force;
+    host::Duration force;
   };
   const SweepPoint sweep[] = {
-      {"1988 disk        (25ms)", 25 * sim::kMillisecond},
-      {"disk             (10ms)", 10 * sim::kMillisecond},
-      {"fast disk         (3ms)", 3 * sim::kMillisecond},
-      {"battery RAM     (300us)", 300 * sim::kMicrosecond},
-      {"SSD             (100us)", 100 * sim::kMicrosecond},
-      {"NVRAM            (10us)", 10 * sim::kMicrosecond},
+      {"1988 disk        (25ms)", 25 * host::kMillisecond},
+      {"disk             (10ms)", 10 * host::kMillisecond},
+      {"fast disk         (3ms)", 3 * host::kMillisecond},
+      {"battery RAM     (300us)", 300 * host::kMicrosecond},
+      {"SSD             (100us)", 100 * host::kMicrosecond},
+      {"NVRAM            (10us)", 10 * host::kMicrosecond},
   };
   for (const auto& p : sweep) {
     const double lat = StableDecisionLatency(p.force);
@@ -290,8 +290,8 @@ int main() {
   {
     std::uint64_t imm = 0;
     const double vs_disk = ViewstampedStableDecisionLatency(
-        10 * sim::kMillisecond, 20 * sim::kMillisecond, &imm);
-    const double plain_disk = StableDecisionLatency(10 * sim::kMillisecond);
+        10 * host::kMillisecond, 20 * host::kMillisecond, &imm);
+    const double plain_disk = StableDecisionLatency(10 * host::kMillisecond);
     bench::Row("    disk (10ms), viewstamped : %8.0fus (prepares immediate: %llu%%)",
                vs_disk, static_cast<unsigned long long>(imm));
     bench::Row("    disk (10ms), conventional: %8.0fus  ->  %.1fx faster at",

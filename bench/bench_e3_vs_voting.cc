@@ -50,7 +50,7 @@ void CompareAtN(std::size_t n) {
     cluster.network().ResetStats();
     const int kOps = 150;
     auto phases = bench::MeasureTxnPhases(cluster, client_g, server, kOps);
-    cluster.RunFor(1 * sim::kSecond);
+    cluster.RunFor(1 * host::kSecond);
     vr_call_us = phases.call.Mean();
     // Count data-plane traffic only (exclude pings).
     const auto& st = cluster.network().stats();
@@ -80,7 +80,7 @@ void CompareAtN(std::size_t n) {
       bool done = false;
       qclient.Write("k", "v", [&](bool) { done = true; });
       wq.simulation.scheduler().RunToQuiescence();
-      const sim::Time start = wq.simulation.Now();
+      const host::Time start = wq.simulation.Now();
       done = false;
       qclient.Read("k",
                    [&](std::optional<baseline::VersionedValue>) { done = true; });
@@ -96,7 +96,7 @@ void CompareAtN(std::size_t n) {
     const int kOps = 150;
     w.network.ResetStats();
     for (int i = 0; i < kOps; ++i) {
-      sim::Time start = w.simulation.Now();
+      host::Time start = w.simulation.Now();
       bool done = false;
       client.Write("k" + std::to_string(i % 16), "v", [&](bool) { done = true; });
       w.simulation.scheduler().RunToQuiescence();
@@ -155,7 +155,7 @@ void DeadlockComparison() {
     workload::ClosedLoopDriver driver(
         cluster, client_g,
         [&](std::uint64_t) {
-          return [&](core::TxnHandle& h) -> sim::Task<bool> {
+          return [&](core::TxnHandle& h) -> host::Task<bool> {
             co_await h.Call(server, "put", std::string("hot=v"));
             co_return true;
           };

@@ -21,7 +21,7 @@ using client::ClusterOptions;
 
 struct ChangeCost {
   std::uint64_t protocol_msgs = 0;  // invite + accept + init-view
-  sim::Duration duration = 0;       // trigger .. new view active at primary
+  host::Duration duration = 0;       // trigger .. new view active at primary
   bool ok = false;
 };
 
@@ -41,7 +41,7 @@ ChangeCost MeasureChange(std::size_t n, bool crash_primary, bool unilateral,
   if (!cluster.RunUntilStable()) return cost;
   if (preload_txns > 0) {
     bench::MeasureTxnPhases(cluster, client_g, server, preload_txns);
-    cluster.RunFor(500 * sim::kMillisecond);
+    cluster.RunFor(500 * host::kMillisecond);
   }
 
   auto cohorts = cluster.Cohorts(server);
@@ -57,12 +57,12 @@ ChangeCost MeasureChange(std::size_t n, bool crash_primary, bool unilateral,
 
   cluster.network().ResetStats();
   const vr::Mid victim_mid = cohorts[victim]->mid();
-  const sim::Time crash_at = cluster.sim().Now();
+  const host::Time crash_at = cluster.sim().Now();
   cluster.Crash(server, victim);
   // Wait until a view EXCLUDING the victim is active at some primary (the
   // group can look "stable" in the old view until failure detection fires).
   core::Cohort* primary = nullptr;
-  const sim::Time deadline = cluster.sim().Now() + 30 * sim::kSecond;
+  const host::Time deadline = cluster.sim().Now() + 30 * host::kSecond;
   while (cluster.sim().Now() < deadline) {
     primary = cluster.AnyPrimary(server);
     if (primary != nullptr && !primary->cur_view().Contains(victim_mid) &&
@@ -70,7 +70,7 @@ ChangeCost MeasureChange(std::size_t n, bool crash_primary, bool unilateral,
       break;
     }
     primary = nullptr;
-    cluster.RunFor(10 * sim::kMillisecond);
+    cluster.RunFor(10 * host::kMillisecond);
   }
   if (primary == nullptr) return cost;
 
@@ -107,14 +107,14 @@ int main() {
     bench::Row("  n=%zu backup crash (primary manages) | %4llu (%llu)          | %s",
                n, static_cast<unsigned long long>(backup.protocol_msgs),
                static_cast<unsigned long long>(m_backup.messages),
-               sim::FormatDuration(backup.duration).c_str());
+               host::FormatDuration(backup.duration).c_str());
     bench::Row("  n=%zu primary crash (backup manages) | %4llu (%llu)          | %s",
                n, static_cast<unsigned long long>(primary.protocol_msgs),
                static_cast<unsigned long long>(m_primary.messages),
-               sim::FormatDuration(primary.duration).c_str());
+               host::FormatDuration(primary.duration).c_str());
     bench::Row("  n=%zu backup crash, unilateral tweak | %4llu (0)          | %s",
                n, static_cast<unsigned long long>(tweak.protocol_msgs),
-               sim::FormatDuration(tweak.duration).c_str());
+               host::FormatDuration(tweak.duration).c_str());
   }
 
   bench::Row("\n  Handoff after 300 preloaded transactions (§3.3 trade-off):");
@@ -122,7 +122,7 @@ int main() {
     auto c = MeasureChange(3, /*crash_primary=*/true, false, eager, 300);
     bench::Row("    %-22s: duration %s",
                eager ? "eager backup apply" : "lazy (replay on promote)",
-               sim::FormatDuration(c.duration).c_str());
+               host::FormatDuration(c.duration).c_str());
   }
 
   bench::Row("\n  Expect: protocol messages ~= the model (2(n-1), +1 for the");

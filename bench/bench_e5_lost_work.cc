@@ -29,7 +29,7 @@ struct Survival {
   int replied = 0;  // calls whose replies the client saw before the crash
 };
 
-Survival MeasureSurvival(std::uint64_t seed, bool nested, sim::Duration gap,
+Survival MeasureSurvival(std::uint64_t seed, bool nested, host::Duration gap,
                          int burst, bool force_calls = false) {
   ClusterOptions opts;
   opts.seed = seed;
@@ -53,12 +53,12 @@ Survival MeasureSurvival(std::uint64_t seed, bool nested, sim::Duration gap,
   int resolved = 0;
   for (int i = 0; i < burst; ++i) {
     cp->SpawnTransaction(
-        [server, sched, i, &s](core::TxnHandle& h) -> sim::Task<bool> {
+        [server, sched, i, &s](core::TxnHandle& h) -> host::Task<bool> {
           co_await h.Call(server, "put",
                           std::string("w") + std::to_string(i) + "=x");
           ++s.replied;
           // Think until the dust of the view change settles, then commit.
-          co_await sim::Sleep(*sched, 3 * sim::kSecond);
+          co_await host::Sleep(*sched, 3 * host::kSecond);
           co_return true;
         },
         [&](vr::TxnOutcome o) {
@@ -84,9 +84,9 @@ Survival MeasureSurvival(std::uint64_t seed, bool nested, sim::Duration gap,
       break;
     }
   }
-  const sim::Time deadline = cluster.sim().Now() + 60 * sim::kSecond;
+  const host::Time deadline = cluster.sim().Now() + 60 * host::kSecond;
   while (resolved < burst && cluster.sim().Now() < deadline) {
-    cluster.RunFor(20 * sim::kMillisecond);
+    cluster.RunFor(20 * host::kMillisecond);
   }
   return s;
 }
@@ -110,16 +110,16 @@ int main() {
   struct Case {
     const char* label;
     bool nested;
-    sim::Duration gap;
+    host::Duration gap;
   };
   const Case cases[] = {
       // ~1ms: calls have executed and replied, but the background buffer
       // flush (0.5ms) + delivery has not reached the backups for all of
       // them — some completed-call events die with the primary.
-      {"gap 1ms  (records not replicated)", false, 1 * sim::kMillisecond},
-      {"gap 50ms (records replicated)", false, 50 * sim::kMillisecond},
-      {"gap 1ms  + subactions (§3.6)", true, 1 * sim::kMillisecond},
-      {"gap 50ms + subactions (§3.6)", true, 50 * sim::kMillisecond},
+      {"gap 1ms  (records not replicated)", false, 1 * host::kMillisecond},
+      {"gap 50ms (records replicated)", false, 50 * host::kMillisecond},
+      {"gap 1ms  + subactions (§3.6)", true, 1 * host::kMillisecond},
+      {"gap 50ms + subactions (§3.6)", true, 50 * host::kMillisecond},
   };
   int case_idx = 0;
   for (const Case& c : cases) {
@@ -132,12 +132,12 @@ int main() {
   // would be processed more slowly." A call whose reply arrived is majority-
   // known by construction, so "betrayed" is structurally zero — the cost is
   // that fewer calls complete before the crash at all.
-  for (sim::Duration gap : {1 * sim::kMillisecond, 4 * sim::kMillisecond}) {
+  for (host::Duration gap : {1 * host::kMillisecond, 4 * host::kMillisecond}) {
     Survival s = MeasureSurvival(5010 + gap, false, gap, kBurst,
                                  /*force_calls=*/true);
     char label[64];
     std::snprintf(label, sizeof(label), "gap %-4s + forced calls (§6)",
-                  sim::FormatDuration(gap).c_str());
+                  host::FormatDuration(gap).c_str());
     bench::Row("  %-34s | %7d | %9d | %8d | 0 survive", label, s.replied,
                s.committed, s.replied - s.committed);
   }

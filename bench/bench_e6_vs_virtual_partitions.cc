@@ -29,7 +29,7 @@ std::uint64_t MeasureVrChangeMsgs(std::size_t n) {
   }
   cluster.network().ResetStats();
   cluster.Crash(server, victim);
-  if (!cluster.RunUntilStable(30 * sim::kSecond)) return 0;
+  if (!cluster.RunUntilStable(30 * host::kSecond)) return 0;
   const auto& st = cluster.network().stats();
   auto count = [&](vr::MsgType t) -> std::uint64_t {
     auto it = st.sent_by_type.find(static_cast<std::uint16_t>(t));
@@ -67,11 +67,11 @@ int main() {
                    : static_cast<double>(vp_model.messages) / measured);
   }
   bench::Row("\n  Latency model (1ms one-way): VR %s vs VP %s",
-             sim::FormatDuration(
-                 baseline::VrViewChange(5, false, sim::kMillisecond).latency)
+             host::FormatDuration(
+                 baseline::VrViewChange(5, false, host::kMillisecond).latency)
                  .c_str(),
-             sim::FormatDuration(
-                 baseline::VirtualPartitionsViewChange(5, sim::kMillisecond)
+             host::FormatDuration(
+                 baseline::VirtualPartitionsViewChange(5, host::kMillisecond)
                      .latency)
                  .c_str());
   bench::Row("\n  Expect: VP's phase-3 all-to-all makes its message count grow");

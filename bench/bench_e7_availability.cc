@@ -24,7 +24,7 @@ using client::ClusterOptions;
 
 double MeasureAvailability(std::uint64_t seed, std::size_t replicas,
                            double mttf_s, double mttr_s,
-                           sim::Duration horizon) {
+                           host::Duration horizon) {
   // A single copy has no peers to be partitioned from: its failure IS node
   // downtime. Measure its availability directly from the failure schedule
   // (the conventional non-replicated-server semantics).
@@ -32,8 +32,8 @@ double MeasureAvailability(std::uint64_t seed, std::size_t replicas,
     sim::Rng rng1(seed * 31 + 7);
     auto sched1 =
         workload::RandomCrashSchedule(rng1, 1, 1, horizon, mttf_s, mttr_s);
-    sim::Duration down = 0;
-    sim::Time down_since = 0;
+    host::Duration down = 0;
+    host::Time down_since = 0;
     bool up = true;
     for (const auto& e : sched1) {
       if (e.kind == workload::FailureEvent::Kind::kCrash && up) {
@@ -95,9 +95,9 @@ double MeasureAvailability(std::uint64_t seed, std::size_t replicas,
         });
   }
 
-  const sim::Duration sample_every = 20 * sim::kMillisecond;
+  const host::Duration sample_every = 20 * host::kMillisecond;
   std::uint64_t samples = 0, available = 0;
-  const sim::Time end = cluster.sim().Now() + horizon;
+  const host::Time end = cluster.sim().Now() + horizon;
   while (cluster.sim().Now() < end) {
     cluster.RunFor(sample_every);
     ++samples;
@@ -130,9 +130,9 @@ int main() {
   bench::Row("  isolates the majority-communication claim from E9's catastrophes");
 
   const double mttr = 2.0;  // seconds to recover
-  const sim::Duration horizon = 300 * sim::kSecond;
+  const host::Duration horizon = 300 * host::kSecond;
   bench::Row("  MTTR = %.0fs, horizon = %s; availability = fraction of time a",
-             mttr, sim::FormatDuration(horizon).c_str());
+             mttr, host::FormatDuration(horizon).c_str());
   bench::Row("  commit-capable primary exists (includes view-change downtime)");
   bench::Row("");
   bench::Row("  %-12s | n=1 meas (model) | n=3 meas (model) | n=5 meas (model) | tandem pair model (10%% corr)",

@@ -47,7 +47,7 @@ RunResult RunWorkload(std::uint64_t seed, bool nested, int crashes) {
   // Crash the bank primary periodically during the run.
   for (int c = 0; c < crashes; ++c) {
     cluster.sim().scheduler().After(
-        (500 + static_cast<sim::Duration>(c) * 2500) * sim::kMillisecond,
+        (500 + static_cast<host::Duration>(c) * 2500) * host::kMillisecond,
         [&cluster, bank] {
           auto cohorts = cluster.Cohorts(bank);
           for (std::size_t i = 0; i < cohorts.size(); ++i) {
@@ -77,7 +77,7 @@ RunResult RunWorkload(std::uint64_t seed, bool nested, int crashes) {
       },
       workload::DriverOptions{.total_txns = 200,
                               .max_inflight = 2,
-                              .deadline = 120 * sim::kSecond});
+                              .deadline = 120 * host::kSecond});
   driver.Run();
   // Recover everyone and settle so blocked participants resolve.
   auto cohorts = cluster.Cohorts(bank);
@@ -85,7 +85,7 @@ RunResult RunWorkload(std::uint64_t seed, bool nested, int crashes) {
     if (cohorts[i]->status() == core::Status::kCrashed) cluster.Recover(bank, i);
   }
   cluster.RunUntilStable();
-  cluster.RunFor(5 * sim::kSecond);
+  cluster.RunFor(5 * host::kSecond);
 
   out.committed = driver.accounting().committed;
   out.aborted = driver.accounting().aborted;

@@ -44,7 +44,7 @@ CatastropheResult RunTrials(std::size_t replicas, std::size_t width,
         vr::TxnOutcome::kCommitted) {
       continue;
     }
-    cluster.RunFor(200 * sim::kMillisecond);
+    cluster.RunFor(200 * host::kMillisecond);
     ++out.trials;
 
     // The storm: crash `width` distinct cohorts in a 20ms window.
@@ -54,14 +54,14 @@ CatastropheResult RunTrials(std::size_t replicas, std::size_t width,
     rng.Shuffle(order);
     for (std::size_t i = 0; i < width && i < replicas; ++i) {
       cluster.Crash(g, order[i]);
-      cluster.RunFor(rng.UniformInt(1, 20) * sim::kMillisecond);
+      cluster.RunFor(rng.UniformInt(1, 20) * host::kMillisecond);
     }
-    cluster.RunFor(100 * sim::kMillisecond);
+    cluster.RunFor(100 * host::kMillisecond);
     for (std::size_t i = 0; i < width && i < replicas; ++i) {
       cluster.Recover(g, order[i]);
     }
 
-    const bool stable = cluster.RunUntilStable(15 * sim::kSecond);
+    const bool stable = cluster.RunUntilStable(15 * host::kSecond);
     if (!stable) {
       ++out.catastrophes;
       continue;

@@ -64,7 +64,7 @@ void BM_SchedulerEventThroughput(benchmark::State& state) {
     sim::Scheduler sched;
     int count = 0;
     for (int i = 0; i < 1000; ++i) {
-      sched.At(static_cast<sim::Time>(i), [&count] { ++count; });
+      sched.At(static_cast<host::Time>(i), [&count] { ++count; });
     }
     sched.RunToQuiescence();
     benchmark::DoNotOptimize(count);
@@ -144,12 +144,12 @@ void BM_SimulatedTransaction(benchmark::State& state) {
     core::Cohort* primary = cluster.AnyPrimary(client_g);
     bool done = false;
     primary->SpawnTransaction(
-        [server](core::TxnHandle& h) -> sim::Task<bool> {
+        [server](core::TxnHandle& h) -> host::Task<bool> {
           co_await h.Call(server, "put", std::string("k=v"));
           co_return true;
         },
         [&done](vr::TxnOutcome) { done = true; });
-    while (!done) cluster.RunFor(1 * sim::kMillisecond);
+    while (!done) cluster.RunFor(1 * host::kMillisecond);
   }
   state.SetItemsProcessed(state.iterations());
 }

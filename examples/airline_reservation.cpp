@@ -41,12 +41,12 @@ int main(int argc, char** argv) {
   auto setup = [&](vr::GroupId g, const std::string& flight, long long n) {
     bool done = false;
     cluster.AnyPrimary(agents)->SpawnTransaction(
-        [&, g, flight, n](core::TxnHandle& h) -> sim::Task<bool> {
+        [&, g, flight, n](core::TxnHandle& h) -> host::Task<bool> {
           co_await h.Call(g, "add_flight", flight + "=" + std::to_string(n));
           co_return true;
         },
         [&](vr::TxnOutcome) { done = true; });
-    while (!done) cluster.RunFor(5 * sim::kMillisecond);
+    while (!done) cluster.RunFor(5 * host::kMillisecond);
   };
   setup(east, "E100", kEastSeats);
   setup(west, "W200", kWestSeats);
@@ -54,11 +54,11 @@ int main(int argc, char** argv) {
               kWestSeats);
 
   // Crash the west region's primary 600ms into the rush.
-  cluster.sim().scheduler().After(600 * sim::kMillisecond, [&cluster, west] {
+  cluster.sim().scheduler().After(600 * host::kMillisecond, [&cluster, west] {
     for (auto* c : cluster.Cohorts(west)) {
       if (c->IsActivePrimary()) {
         std::printf("[%s] west primary (cohort %u) goes down mid-rush!\n",
-                    sim::FormatDuration(cluster.sim().Now()).c_str(),
+                    host::FormatDuration(cluster.sim().Now()).c_str(),
                     c->mid());
         c->Crash();
         return;
@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
                               .max_inflight = 3,
                               .retries_per_txn = 5});
   driver.Run();
-  cluster.RunFor(3 * sim::kSecond);
+  cluster.RunFor(3 * host::kSecond);
 
   const long long east_left = workload::CommittedSeats(cluster, east, "E100");
   const long long west_left = workload::CommittedSeats(cluster, west, "W200");

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
       cluster.AnyPrimary(tellers)->SpawnTransaction(
           workload::MakeDepositTxn(branch, "a" + std::to_string(i), kInitial),
           [&](vr::TxnOutcome) { done = true; });
-      while (!done) cluster.RunFor(5 * sim::kMillisecond);
+      while (!done) cluster.RunFor(5 * host::kMillisecond);
     }
   };
   open_all(north);
@@ -60,22 +60,22 @@ int main(int argc, char** argv) {
   // Chaos: crash each branch's primary twice during the run, and cut the
   // network in half once.
   int faults = 0;
-  for (sim::Duration at :
-       {700 * sim::kMillisecond, 2500 * sim::kMillisecond,
-        4500 * sim::kMillisecond, 6500 * sim::kMillisecond}) {
+  for (host::Duration at :
+       {700 * host::kMillisecond, 2500 * host::kMillisecond,
+        4500 * host::kMillisecond, 6500 * host::kMillisecond}) {
     cluster.sim().scheduler().After(at, [&cluster, north, south, &faults] {
       const auto target = (faults++ % 2 == 0) ? north : south;
       for (auto* c : cluster.Cohorts(target)) {
         if (c->IsActivePrimary()) {
           std::printf("[%s] crashing %s primary (cohort %u)\n",
-                      sim::FormatDuration(cluster.sim().Now()).c_str(),
+                      host::FormatDuration(cluster.sim().Now()).c_str(),
                       faults % 2 == 1 ? "north" : "south", c->mid());
           c->Crash();
           return;
         }
       }
     });
-    cluster.sim().scheduler().After(at + 1500 * sim::kMillisecond,
+    cluster.sim().scheduler().After(at + 1500 * host::kMillisecond,
                                     [&cluster, north, south] {
                                       for (auto g : {north, south}) {
                                         for (std::size_t i = 0; i < 3; ++i) {
@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
     }
   }
   cluster.RunUntilStable();
-  cluster.RunFor(5 * sim::kSecond);
+  cluster.RunFor(5 * host::kSecond);
 
   const long long total_after =
       workload::CommittedBankTotal(cluster, north, kAccounts) +

@@ -24,7 +24,7 @@ client::Cluster* g_cluster = nullptr;
 
 void Show(vr::GroupId g, const char* note) {
   std::printf("[%8s] %s\n",
-              sim::FormatDuration(g_cluster->sim().Now()).c_str(), note);
+              host::FormatDuration(g_cluster->sim().Now()).c_str(), note);
   for (auto* c : g_cluster->Cohorts(g)) {
     std::printf("    cohort %u: %-12s view %-8s %s\n", c->mid(),
                 core::StatusName(c->status()),
@@ -79,14 +79,14 @@ int main() {
   for (auto* c : cluster.Cohorts(agents)) rest1.push_back(c->mid());
   cluster.network().Partition({{backup}, rest1});
   cluster.RunUntilStable();
-  cluster.RunFor(1 * sim::kSecond);
+  cluster.RunFor(1 * host::kSecond);
   Show(kv, "scene 1: one backup partitioned away — majority re-forms");
   Put(agents, kv, "epoch=2");
 
   // --- scene 2: lose the primary ----------------------------------------
   cluster.network().Heal();
   cluster.RunUntilStable();
-  cluster.RunFor(1 * sim::kSecond);
+  cluster.RunFor(1 * host::kSecond);
   p = primary_mid();
   std::vector<net::NodeId> rest2;
   for (auto* c : cohorts) {
@@ -95,7 +95,7 @@ int main() {
   for (auto* c : cluster.Cohorts(agents)) rest2.push_back(c->mid());
   cluster.network().Partition({{p}, rest2});
   cluster.RunUntilStable();
-  cluster.RunFor(1 * sim::kSecond);
+  cluster.RunFor(1 * host::kSecond);
   Show(kv, "scene 2: the PRIMARY partitioned away — note the stale primary");
   std::printf("    (the old primary still thinks it leads its old view, but\n"
               "     cannot commit: force-to cannot reach a sub-majority)\n");
@@ -104,7 +104,7 @@ int main() {
   // --- scene 3: heal ------------------------------------------------------
   cluster.network().Heal();
   cluster.RunUntilStable();
-  cluster.RunFor(2 * sim::kSecond);
+  cluster.RunFor(2 * host::kSecond);
   Show(kv, "scene 3: healed — one view, stale primary demoted");
   Put(agents, kv, "epoch=4");
 
@@ -113,12 +113,12 @@ int main() {
   std::vector<net::NodeId> mainland{mid(2), mid(3), mid(4)};
   for (auto* c : cluster.Cohorts(agents)) mainland.push_back(c->mid());
   cluster.network().Partition({island, mainland});
-  cluster.RunFor(3 * sim::kSecond);
+  cluster.RunFor(3 * host::kSecond);
   Show(kv, "scene 4: two cohorts islanded — the island cannot form a view");
   Put(agents, kv, "epoch=5");
   cluster.network().Heal();
   cluster.RunUntilStable();
-  cluster.RunFor(2 * sim::kSecond);
+  cluster.RunFor(2 * host::kSecond);
   Show(kv, "scene 4b: healed again");
 
   core::Cohort* primary = cluster.AnyPrimary(kv);

@@ -32,14 +32,16 @@ int main() {
   // Module procedures execute at the group's primary under strict two-phase
   // locking; ctx.Read/Write acquire locks and create tentative versions.
   cluster.RegisterProc(
-      kv, "set", [](core::ProcContext& ctx) -> sim::Task<std::vector<std::uint8_t>> {
+      kv, "set",
+      [](core::ProcContext& ctx) -> host::Task<std::vector<std::uint8_t>> {
         std::string a = ctx.ArgsAsString();  // "key=value"
         auto eq = a.find('=');
         co_await ctx.Write(a.substr(0, eq), a.substr(eq + 1));
         co_return Bytes("ok");
       });
   cluster.RegisterProc(
-      kv, "get", [](core::ProcContext& ctx) -> sim::Task<std::vector<std::uint8_t>> {
+      kv, "get",
+      [](core::ProcContext& ctx) -> host::Task<std::vector<std::uint8_t>> {
         auto v = co_await ctx.Read(ctx.ArgsAsString());
         co_return Bytes(v.value_or("<absent>"));
       });
@@ -58,7 +60,7 @@ int main() {
   bool done = false;
   vr::TxnOutcome outcome = vr::TxnOutcome::kUnknown;
   cluster.AnyPrimary(app)->SpawnTransaction(
-      [kv](core::TxnHandle& txn) -> sim::Task<bool> {
+      [kv](core::TxnHandle& txn) -> host::Task<bool> {
         co_await txn.Call(kv, "set", std::string("greeting=hello world"));
         co_return true;  // request commit
       },
@@ -66,7 +68,7 @@ int main() {
         outcome = o;
         done = true;
       });
-  while (!done) cluster.RunFor(10 * sim::kMillisecond);
+  while (!done) cluster.RunFor(10 * host::kMillisecond);
   std::printf("transaction %s\n",
               outcome == vr::TxnOutcome::kCommitted ? "committed" : "aborted");
 

@@ -65,21 +65,21 @@ int main(int argc, char** argv) {
   // Halfway through the run, move shard0's whole range to shard2 — bulk
   // snapshot pull, drain, settle, then an atomic epoch flip (DESIGN.md §11).
   bool move_done = false, move_ok = false;
-  cluster.sim().scheduler().After(150 * sim::kMillisecond, [&] {
+  cluster.sim().scheduler().After(150 * host::kMillisecond, [&] {
     const core::ShardRange* r =
         cluster.directory().Route(workload::ShardAccountName(0));
     if (r == nullptr || r->owner == bank.shards[2]) return;
     std::printf("[%s] rebalancing [%s, %s) from group %u to group %u\n",
-                sim::FormatDuration(cluster.sim().Now()).c_str(),
+                host::FormatDuration(cluster.sim().Now()).c_str(),
                 r->lo.empty() ? "-inf" : r->lo.c_str(), r->hi.c_str(),
                 r->owner, bank.shards[2]);
     rebalancer.Move(r->lo, r->hi, bank.shards[2], [&](bool ok) {
       move_done = true;
       move_ok = ok;
       std::printf("[%s] rebalance %s (handoff window %s)\n",
-                  sim::FormatDuration(cluster.sim().Now()).c_str(),
+                  host::FormatDuration(cluster.sim().Now()).c_str(),
                   ok ? "committed" : "failed",
-                  sim::FormatDuration(rebalancer.stats().last_handoff_window)
+                  host::FormatDuration(rebalancer.stats().last_handoff_window)
                       .c_str());
     });
   });
@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
                               .max_inflight = 4,
                               .retries_per_txn = 100});
   driver.Run();
-  cluster.RunFor(2 * sim::kSecond);
+  cluster.RunFor(2 * host::kSecond);
 
   std::printf("\nresults: %llu committed, %llu aborted, %llu unknown, "
               "%llu router refreshes\n",

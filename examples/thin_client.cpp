@@ -22,15 +22,16 @@ using namespace vsr;
 
 namespace {
 
-vr::TxnOutcome RunTxn(client::Cluster& cluster, client::UnreplicatedClient& c,
-                      std::function<sim::Task<bool>(client::ClientTxn&)> body) {
+vr::TxnOutcome RunTxn(
+    client::Cluster& cluster, client::UnreplicatedClient& c,
+    std::function<host::Task<bool>(client::ClientTxn&)> body) {
   vr::TxnOutcome outcome = vr::TxnOutcome::kUnknown;
   bool done = false;
   c.Spawn(std::move(body), [&](vr::TxnOutcome o) {
     outcome = o;
     done = true;
   });
-  while (!done) cluster.RunFor(10 * sim::kMillisecond);
+  while (!done) cluster.RunFor(10 * host::kMillisecond);
   return outcome;
 }
 
@@ -42,7 +43,7 @@ int main() {
   auto coord = cluster.AddGroup("coordinator-server", 3);
   cluster.RegisterProc(
       inventory, "take",
-      [](core::ProcContext& ctx) -> sim::Task<std::vector<std::uint8_t>> {
+      [](core::ProcContext& ctx) -> host::Task<std::vector<std::uint8_t>> {
         auto v = co_await ctx.ReadForUpdate("stock");
         const long long left = v && !v->empty() ? std::stoll(*v) : 10;
         if (left <= 0) throw core::TxnError("out of stock");
@@ -62,7 +63,7 @@ int main() {
   std::printf("-- a thin client buys one item --\n");
   vr::Aid receipt{};
   auto outcome = RunTxn(cluster, laptop,
-                        [&](client::ClientTxn& t) -> sim::Task<bool> {
+                        [&](client::ClientTxn& t) -> host::Task<bool> {
                           receipt = t.aid();
                           auto r = co_await t.Call(inventory, "take",
                                                    std::string(""));
@@ -81,7 +82,7 @@ int main() {
                 o == vr::TxnOutcome::kCommitted ? "committed" : "not committed");
     answered = true;
   });
-  while (!answered) cluster.RunFor(10 * sim::kMillisecond);
+  while (!answered) cluster.RunFor(10 * host::kMillisecond);
 
   std::printf("-- a flaky client grabs the stock lock and disappears --\n");
   {
@@ -90,20 +91,20 @@ int main() {
                                      cluster.AllocateMid(), coord,
                                      core::CohortOptions{});
     bool call_done = false;
-    ghost.Spawn([&](client::ClientTxn& t) -> sim::Task<bool> {
+    ghost.Spawn([&](client::ClientTxn& t) -> host::Task<bool> {
       co_await t.Call(inventory, "take", std::string(""));
       call_done = true;
-      co_await sim::Sleep(cluster.sim().scheduler(), 3600 * sim::kSecond);
+      co_await host::Sleep(cluster.sim().scheduler(), 3600 * host::kSecond);
       co_return true;  // never reached
     });
-    while (!call_done) cluster.RunFor(10 * sim::kMillisecond);
+    while (!call_done) cluster.RunFor(10 * host::kMillisecond);
     std::printf("   ghost client holds the write lock... and vanishes\n");
   }  // destroying the client destroys its suspended transaction — the crash
 
   std::printf("-- §3.5: \"it can abort the transaction unilaterally\" --\n");
-  cluster.RunFor(5 * sim::kSecond);  // coordinator-server sweep + queries
+  cluster.RunFor(5 * host::kSecond);  // coordinator-server sweep + queries
   auto retry = RunTxn(cluster, laptop,
-                      [&](client::ClientTxn& t) -> sim::Task<bool> {
+                      [&](client::ClientTxn& t) -> host::Task<bool> {
                         auto r = co_await t.Call(inventory, "take",
                                                  std::string(""));
                         std::printf("   stock now: %s\n",

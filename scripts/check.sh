@@ -4,6 +4,9 @@
 #   cmake -B build -S . && cmake --build build -j && ctest -j
 # Ninja is used when present but never required.
 #
+# After the unit tests it builds the benchmark (perfbench/) and runs its
+# determinism tests.
+#
 # CHECK_SANITIZE=1 additionally builds an ASan/UBSan tree (build-sanitize/)
 # and runs the replication-path test suites under it.
 #
@@ -57,6 +60,12 @@ generator_for() {
 cmake -B build -S . $(generator_for build)
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
+
+# The benchmark (perfbench/) builds against src/ into the ignored
+# .bench_build/; its own tests check that the simulator workload is
+# deterministic. A src/ API change that breaks the benchmark fails here.
+echo "== benchmark (build + sim-mix determinism) =="
+python3 perfbench/test_perfbench.py
 
 if [[ "${CHECK_SANITIZE:-0}" == "1" ]]; then
   echo "== sanitizers (ASan + UBSan) =="

@@ -8,14 +8,14 @@
 
 #include <cstdint>
 
-#include "sim/time.h"
+#include "host/time.h"
 
 namespace vsr::baseline {
 
 struct ProtocolCost {
   std::uint64_t messages = 0;
   std::uint64_t rounds = 0;
-  sim::Duration latency = 0;
+  host::Duration latency = 0;
 };
 
 // --- Virtual partitions view change (El Abbadi, Skeen, Cristian [12]) ------
@@ -25,7 +25,7 @@ struct ProtocolCost {
 // view, and in the third, the cohorts all communicate with one another to
 // find out the current state."
 inline ProtocolCost VirtualPartitionsViewChange(std::size_t n,
-                                                sim::Duration one_way_delay) {
+                                                host::Duration one_way_delay) {
   ProtocolCost c;
   c.rounds = 3;
   const std::uint64_t others = static_cast<std::uint64_t>(n) - 1;
@@ -47,7 +47,7 @@ inline ProtocolCost VirtualPartitionsViewChange(std::size_t n,
 // needed." The newview record that re-initializes backups then flows through
 // the communication buffer like ordinary traffic.
 inline ProtocolCost VrViewChange(std::size_t n, bool manager_is_new_primary,
-                                 sim::Duration one_way_delay) {
+                                 host::Duration one_way_delay) {
   ProtocolCost c;
   const std::uint64_t others = static_cast<std::uint64_t>(n) - 1;
   c.rounds = 1;
@@ -65,7 +65,7 @@ inline ProtocolCost VrViewChange(std::size_t n, bool manager_is_new_primary,
 // Messages on the critical path of one operation under quorum consensus with
 // a lock round and a write round (reads need no locks).
 inline ProtocolCost VotingWrite(std::size_t write_quorum,
-                                sim::Duration one_way_delay) {
+                                host::Duration one_way_delay) {
   ProtocolCost c;
   c.rounds = 2;
   c.messages = 4 * static_cast<std::uint64_t>(write_quorum);
@@ -73,7 +73,7 @@ inline ProtocolCost VotingWrite(std::size_t write_quorum,
   return c;
 }
 inline ProtocolCost VotingRead(std::size_t read_quorum,
-                               sim::Duration one_way_delay) {
+                               host::Duration one_way_delay) {
   ProtocolCost c;
   c.rounds = 1;
   c.messages = 2 * static_cast<std::uint64_t>(read_quorum);
@@ -86,7 +86,7 @@ inline ProtocolCost VotingRead(std::size_t read_quorum,
 // "Remote calls in our system run only at the primary and need not involve
 // the backups" — 2 messages on the critical path; backup notification is off
 // the critical path (counted separately as background).
-inline ProtocolCost VrCall(std::size_t n, sim::Duration one_way_delay) {
+inline ProtocolCost VrCall(std::size_t n, host::Duration one_way_delay) {
   ProtocolCost c;
   c.rounds = 1;
   c.messages = 2;

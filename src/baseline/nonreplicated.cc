@@ -1,36 +1,6 @@
 #include "baseline/nonreplicated.h"
 
 namespace vsr::baseline {
-namespace {
-
-struct NrMsg {
-  std::uint64_t req_id = 0;
-  std::uint64_t txn = 0;
-  net::NodeId reply_to = 0;
-  std::string key;
-  std::string value;
-
-  std::vector<std::uint8_t> Encode() const {
-    wire::Writer w;
-    w.U64(req_id);
-    w.U64(txn);
-    w.U32(reply_to);
-    w.String(key);
-    w.String(value);
-    return w.Take();
-  }
-  static NrMsg Decode(wire::Reader& r) {
-    NrMsg m;
-    m.req_id = r.U64();
-    m.txn = r.U64();
-    m.reply_to = r.U32();
-    m.key = r.String();
-    m.value = r.String();
-    return m;
-  }
-};
-
-}  // namespace
 
 StableServer::StableServer(sim::Simulation& simulation, net::Network& network,
                            net::NodeId self, storage::StableStore& stable)
@@ -46,7 +16,7 @@ void StableServer::ForceLog(std::string tag, std::function<void()> then) {
 
 void StableServer::OnFrame(const net::Frame& frame) {
   wire::Reader r(frame.payload);
-  NrMsg m = NrMsg::Decode(r);
+  const auto m = r.Get<NrMsg>();
   if (!r.ok()) return;
   switch (static_cast<NrMsgType>(frame.type)) {
     case NrMsgType::kCall: {
@@ -57,7 +27,7 @@ void StableServer::OnFrame(const net::Frame& frame) {
       NrMsg reply = m;
       net_.Send(self_, m.reply_to,
                 static_cast<std::uint16_t>(NrMsgType::kCallReply),
-                reply.Encode());
+                wire::ToBytes(reply));
       break;
     }
     case NrMsgType::kPrepare: {
@@ -67,7 +37,7 @@ void StableServer::OnFrame(const net::Frame& frame) {
       auto respond = [this, reply] {
         net_.Send(self_, reply.reply_to,
                   static_cast<std::uint16_t>(NrMsgType::kPrepareReply),
-                  reply.Encode());
+                  wire::ToBytes(reply));
       };
       auto it = unforced_.find(m.txn);
       if (it != unforced_.end() && it->second > 0) {
@@ -83,7 +53,7 @@ void StableServer::OnFrame(const net::Frame& frame) {
       ForceLog("commit", [this, reply] {
         net_.Send(self_, reply.reply_to,
                   static_cast<std::uint16_t>(NrMsgType::kCommitReply),
-                  reply.Encode());
+                  wire::ToBytes(reply));
       });
       unforced_.erase(m.txn);
       break;
@@ -113,24 +83,24 @@ void StableClient::OnFrame(const net::Frame& frame) {
     return;
   }
   wire::Reader r(frame.payload);
-  NrMsg m = NrMsg::Decode(r);
+  const auto m = r.Get<NrMsg>();
   if (r.ok()) waiters_.Fulfill(m.req_id, true);
 }
 
 void StableClient::RunTxn(int num_calls,
                           std::function<void(TxnTiming)> done,
-                          sim::Duration think) {
+                          host::Duration think) {
   tasks_.Spawn(DoTxn(num_calls, std::move(done), think));
 }
 
-sim::Task<void> StableClient::DoTxn(int num_calls,
+host::Task<void> StableClient::DoTxn(int num_calls,
                                     std::function<void(TxnTiming)> done,
-                                    sim::Duration think) {
+                                    host::Duration think) {
   TxnTiming t;
   const std::uint64_t txn = next_txn_++;
-  const sim::Duration timeout = 10 * sim::kSecond;
+  const host::Duration timeout = 10 * host::kSecond;
 
-  sim::Duration call_total = 0;
+  host::Duration call_total = 0;
   for (int i = 0; i < num_calls; ++i) {
     NrMsg m;
     m.req_id = next_req_++;
@@ -138,9 +108,9 @@ sim::Task<void> StableClient::DoTxn(int num_calls,
     m.reply_to = self_;
     m.key = "k" + std::to_string(i);
     m.value = "v";
-    const sim::Time start = sim_.Now();
+    const host::Time start = sim_.Now();
     net_.Send(self_, server_, static_cast<std::uint16_t>(NrMsgType::kCall),
-              m.Encode());
+              wire::ToBytes(m));
     auto r = co_await waiters_.Await(m.req_id, timeout);
     if (!r) {
       if (done) done(t);
@@ -149,15 +119,15 @@ sim::Task<void> StableClient::DoTxn(int num_calls,
     call_total += sim_.Now() - start;
   }
   t.call_latency = num_calls > 0 ? call_total / num_calls : 0;
-  if (think > 0) co_await sim::Sleep(sim_.scheduler(), think);
+  if (think > 0) co_await host::Sleep(sim_.scheduler(), think);
 
   NrMsg prep;
   prep.req_id = next_req_++;
   prep.txn = txn;
   prep.reply_to = self_;
-  sim::Time start = sim_.Now();
+  host::Time start = sim_.Now();
   net_.Send(self_, server_, static_cast<std::uint16_t>(NrMsgType::kPrepare),
-            prep.Encode());
+            wire::ToBytes(prep));
   if (!co_await waiters_.Await(prep.req_id, timeout)) {
     if (done) done(t);
     co_return;
@@ -170,7 +140,7 @@ sim::Task<void> StableClient::DoTxn(int num_calls,
   commit.reply_to = self_;
   start = sim_.Now();
   net_.Send(self_, server_, static_cast<std::uint16_t>(NrMsgType::kCommit),
-            commit.Encode());
+            wire::ToBytes(commit));
   if (!co_await waiters_.Await(commit.req_id, timeout)) {
     if (done) done(t);
     co_return;

@@ -23,12 +23,13 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/wait_table.h"
+#include "host/task.h"
 #include "net/network.h"
 #include "sim/simulation.h"
-#include "sim/task.h"
 #include "storage/stable_store.h"
 #include "wire/buffer.h"
 
@@ -41,6 +42,20 @@ enum class NrMsgType : std::uint16_t {
   kPrepareReply = 313,
   kCommit = 314,
   kCommitReply = 315,
+};
+
+// The wire format of every NrMsgType, shared by StableServer and
+// ViewstampedStableServer.
+struct NrMsg {
+  std::uint64_t req_id = 0;
+  std::uint64_t txn = 0;
+  net::NodeId reply_to = 0;
+  std::string key;
+  std::string value;
+
+  static auto Fields(auto& m) {
+    return std::tie(m.req_id, m.txn, m.reply_to, m.key, m.value);
+  }
 };
 
 // The single server. Writes go to an in-memory table; durability comes from
@@ -78,22 +93,22 @@ class StableClient : public net::FrameHandler {
 
   struct TxnTiming {
     bool ok = false;
-    sim::Duration call_latency = 0;     // per call, averaged
-    sim::Duration prepare_latency = 0;  // includes the data-record force
-    sim::Duration commit_latency = 0;   // includes the commit-record force
+    host::Duration call_latency = 0;     // per call, averaged
+    host::Duration prepare_latency = 0;  // includes the data-record force
+    host::Duration commit_latency = 0;   // includes the commit-record force
   };
 
   // Runs a transaction of `num_calls` write calls, an optional think pause
   // (user computation between the last call and the commit request), then
   // prepare + commit.
   void RunTxn(int num_calls, std::function<void(TxnTiming)> done,
-              sim::Duration think = 0);
+              host::Duration think = 0);
 
   void OnFrame(const net::Frame& frame) override;
 
  private:
-  sim::Task<void> DoTxn(int num_calls, std::function<void(TxnTiming)> done,
-                        sim::Duration think);
+  host::Task<void> DoTxn(int num_calls, std::function<void(TxnTiming)> done,
+                        host::Duration think);
 
   sim::Simulation& sim_;
   net::Network& net_;
@@ -102,7 +117,7 @@ class StableClient : public net::FrameHandler {
   std::uint64_t next_req_ = 1;
   std::uint64_t next_txn_ = 1;
   core::WaitTable<bool> waiters_;
-  sim::TaskRegistry tasks_;
+  host::TaskRegistry tasks_;
 };
 
 }  // namespace vsr::baseline

@@ -1,42 +1,10 @@
 #include "baseline/nonreplicated_viewstamped.h"
 
 namespace vsr::baseline {
-namespace {
-
-// Reuse the plain non-replicated wire format (defined in nonreplicated.cc;
-// re-declared here because it is deliberately file-local there).
-struct Msg {
-  std::uint64_t req_id = 0;
-  std::uint64_t txn = 0;
-  net::NodeId reply_to = 0;
-  std::string key;
-  std::string value;
-
-  std::vector<std::uint8_t> Encode() const {
-    wire::Writer w;
-    w.U64(req_id);
-    w.U64(txn);
-    w.U32(reply_to);
-    w.String(key);
-    w.String(value);
-    return w.Take();
-  }
-  static Msg Decode(wire::Reader& r) {
-    Msg m;
-    m.req_id = r.U64();
-    m.txn = r.U64();
-    m.reply_to = r.U32();
-    m.key = r.String();
-    m.value = r.String();
-    return m;
-  }
-};
-
-}  // namespace
 
 ViewstampedStableServer::ViewstampedStableServer(
     sim::Simulation& simulation, net::Network& network, net::NodeId self,
-    storage::StableStore& stable, sim::Duration background_write_delay)
+    storage::StableStore& stable, host::Duration background_write_delay)
     : sim_(simulation),
       net_(network),
       self_(self),
@@ -75,7 +43,7 @@ void ViewstampedStableServer::StartBackgroundWrite(std::uint64_t txn) {
 
 void ViewstampedStableServer::OnFrame(const net::Frame& frame) {
   wire::Reader r(frame.payload);
-  Msg m = Msg::Decode(r);
+  const auto m = r.Get<NrMsg>();
   if (!r.ok()) return;
   switch (static_cast<NrMsgType>(frame.type)) {
     case NrMsgType::kCall: {
@@ -83,7 +51,8 @@ void ViewstampedStableServer::OnFrame(const net::Frame& frame) {
       ++log_[m.txn].pending;
       StartBackgroundWrite(m.txn);
       net_.Send(self_, m.reply_to,
-                static_cast<std::uint16_t>(NrMsgType::kCallReply), m.Encode());
+                static_cast<std::uint16_t>(NrMsgType::kCallReply),
+                wire::ToBytes(m));
       break;
     }
     case NrMsgType::kPrepare: {
@@ -94,7 +63,7 @@ void ViewstampedStableServer::OnFrame(const net::Frame& frame) {
       auto respond = [this, m] {
         net_.Send(self_, m.reply_to,
                   static_cast<std::uint16_t>(NrMsgType::kPrepareReply),
-                  m.Encode());
+                  wire::ToBytes(m));
       };
       if (log.pending == 0) {
         ++stats_.prepares_immediate;
@@ -114,7 +83,7 @@ void ViewstampedStableServer::OnFrame(const net::Frame& frame) {
                            net_.Send(self_, m.reply_to,
                                      static_cast<std::uint16_t>(
                                          NrMsgType::kCommitReply),
-                                     m.Encode());
+                                     wire::ToBytes(m));
                          });
       log_.erase(m.txn);
       break;

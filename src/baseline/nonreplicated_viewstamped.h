@@ -36,8 +36,8 @@ class ViewstampedStableServer : public net::FrameHandler {
  public:
   ViewstampedStableServer(sim::Simulation& simulation, net::Network& network,
                           net::NodeId self, storage::StableStore& stable,
-                          sim::Duration background_write_delay =
-                              500 * sim::kMicrosecond);
+                          host::Duration background_write_delay =
+                              500 * host::kMicrosecond);
 
   void OnFrame(const net::Frame& frame) override;
 
@@ -57,7 +57,7 @@ class ViewstampedStableServer : public net::FrameHandler {
   net::Network& net_;
   const net::NodeId self_;
   storage::StableStore& stable_;
-  const sim::Duration background_write_delay_;
+  const host::Duration background_write_delay_;
 
   std::map<std::string, std::string> data_;
   struct TxnLog {

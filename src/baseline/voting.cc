@@ -12,25 +12,9 @@ struct VoteReq {
   std::uint64_t version = 0; // writes
   std::uint64_t client = 0;  // lock owner identity
 
-  std::vector<std::uint8_t> Encode() const {
-    wire::Writer w;
-    w.U64(req_id);
-    w.U32(reply_to);
-    w.String(key);
-    w.String(value);
-    w.U64(version);
-    w.U64(client);
-    return w.Take();
-  }
-  static VoteReq Decode(wire::Reader& r) {
-    VoteReq m;
-    m.req_id = r.U64();
-    m.reply_to = r.U32();
-    m.key = r.String();
-    m.value = r.String();
-    m.version = r.U64();
-    m.client = r.U64();
-    return m;
+  static auto Fields(auto& m) {
+    return std::tie(m.req_id, m.reply_to, m.key, m.value, m.version,
+                    m.client);
   }
 };
 
@@ -40,21 +24,8 @@ struct VoteReply {
   std::string value;
   std::uint64_t version = 0;
 
-  std::vector<std::uint8_t> Encode() const {
-    wire::Writer w;
-    w.U64(req_id);
-    w.Bool(ok);
-    w.String(value);
-    w.U64(version);
-    return w.Take();
-  }
-  static VoteReply Decode(wire::Reader& r) {
-    VoteReply m;
-    m.req_id = r.U64();
-    m.ok = r.Bool();
-    m.value = r.String();
-    m.version = r.U64();
-    return m;
+  static auto Fields(auto& m) {
+    return std::tie(m.req_id, m.ok, m.value, m.version);
   }
 };
 
@@ -72,7 +43,7 @@ VotingReplica::VotingReplica(sim::Simulation& simulation,
 
 void VotingReplica::OnFrame(const net::Frame& frame) {
   wire::Reader r(frame.payload);
-  VoteReq m = VoteReq::Decode(r);
+  const auto m = r.Get<VoteReq>();
   if (!r.ok()) return;
   VoteReply reply;
   reply.req_id = m.req_id;
@@ -87,7 +58,7 @@ void VotingReplica::OnFrame(const net::Frame& frame) {
       }
       net_.Send(self_, m.reply_to,
                 static_cast<std::uint16_t>(VoteMsgType::kLockReply),
-                reply.Encode());
+                wire::ToBytes(reply));
       break;
     }
     case VoteMsgType::kWriteReq: {
@@ -103,7 +74,7 @@ void VotingReplica::OnFrame(const net::Frame& frame) {
       }
       net_.Send(self_, m.reply_to,
                 static_cast<std::uint16_t>(VoteMsgType::kWriteReply),
-                reply.Encode());
+                wire::ToBytes(reply));
       break;
     }
     case VoteMsgType::kReadReq: {
@@ -115,7 +86,7 @@ void VotingReplica::OnFrame(const net::Frame& frame) {
       }
       net_.Send(self_, m.reply_to,
                 static_cast<std::uint16_t>(VoteMsgType::kReadReply),
-                reply.Encode());
+                wire::ToBytes(reply));
       break;
     }
     case VoteMsgType::kUnlockReq: {
@@ -157,7 +128,7 @@ void VotingClient::OnFrame(const net::Frame& frame) {
     return;
   }
   wire::Reader r(frame.payload);
-  VoteReply m = VoteReply::Decode(r);
+  const auto m = r.Get<VoteReply>();
   if (!r.ok()) return;
   auto it = pending_.find(m.req_id);
   if (it == pending_.end()) return;
@@ -179,11 +150,11 @@ void VotingClient::OnFrame(const net::Frame& frame) {
   }
 }
 
-sim::Task<std::vector<VotingClient::Ack>> VotingClient::Gather(
+host::Task<std::vector<VotingClient::Ack>> VotingClient::Gather(
     VoteMsgType type, const std::vector<std::uint8_t>& payload,
     std::size_t need, std::size_t fanout) {
   wire::Reader rr(payload);
-  VoteReq req = VoteReq::Decode(rr);
+  const auto req = rr.Get<VoteReq>();
   auto p = std::make_shared<Pending>();
   p->need = need;
   p->corr = next_req_ * 1000003ull;  // distinct from req ids
@@ -203,7 +174,7 @@ void VotingClient::Write(std::string key, std::string value,
   tasks_.Spawn(DoWrite(std::move(key), std::move(value), std::move(done)));
 }
 
-sim::Task<void> VotingClient::DoWrite(std::string key, std::string value,
+host::Task<void> VotingClient::DoWrite(std::string key, std::string value,
                                       std::function<void(bool)> done) {
   // Round 1: collect write locks at a write quorum.
   VoteReq lock;
@@ -211,8 +182,9 @@ sim::Task<void> VotingClient::DoWrite(std::string key, std::string value,
   lock.reply_to = self_;
   lock.key = key;
   lock.client = self_;
-  auto lock_acks = co_await Gather(VoteMsgType::kLockReq, lock.Encode(),
-                                   options_.write_quorum, replicas_.size());
+  auto lock_acks =
+      co_await Gather(VoteMsgType::kLockReq, wire::ToBytes(lock),
+                      options_.write_quorum, replicas_.size());
   if (lock_acks.empty()) {
     // Lock conflict or timeout — with concurrent writers locking replicas in
     // different orders this is exactly the voting deadlock (§5); back out.
@@ -221,7 +193,7 @@ sim::Task<void> VotingClient::DoWrite(std::string key, std::string value,
     for (net::NodeId replica : replicas_) {
       net_.Send(self_, replica,
                 static_cast<std::uint16_t>(VoteMsgType::kUnlockReq),
-                unlock.Encode());
+                wire::ToBytes(unlock));
     }
     ++stats_.writes_failed;
     if (done) done(false);
@@ -237,8 +209,9 @@ sim::Task<void> VotingClient::DoWrite(std::string key, std::string value,
   write.value = value;
   write.version = sim_.Now() * 16 + (self_ % 16) + 1;
   write.client = self_;
-  auto write_acks = co_await Gather(VoteMsgType::kWriteReq, write.Encode(),
-                                    options_.write_quorum, replicas_.size());
+  auto write_acks =
+      co_await Gather(VoteMsgType::kWriteReq, wire::ToBytes(write),
+                      options_.write_quorum, replicas_.size());
   if (write_acks.empty()) {
     ++stats_.writes_failed;
     if (done) done(false);
@@ -253,7 +226,7 @@ void VotingClient::Read(
   tasks_.Spawn(DoRead(std::move(key), std::move(done)));
 }
 
-sim::Task<void> VotingClient::DoRead(
+host::Task<void> VotingClient::DoRead(
     std::string key, std::function<void(std::optional<VersionedValue>)> done) {
   VoteReq read;
   read.req_id = next_req_++;
@@ -261,7 +234,7 @@ sim::Task<void> VotingClient::DoRead(
   read.key = key;
   read.client = self_;
   // Send to exactly the read quorum (read-one sends one message).
-  auto acks = co_await Gather(VoteMsgType::kReadReq, read.Encode(),
+  auto acks = co_await Gather(VoteMsgType::kReadReq, wire::ToBytes(read),
                               options_.read_quorum, options_.read_quorum);
   if (acks.empty()) {
     ++stats_.reads_failed;

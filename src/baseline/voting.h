@@ -26,9 +26,9 @@
 #include <vector>
 
 #include "core/wait_table.h"
+#include "host/task.h"
 #include "net/network.h"
 #include "sim/simulation.h"
-#include "sim/task.h"
 #include "wire/buffer.h"
 
 namespace vsr::baseline {
@@ -76,8 +76,8 @@ struct VotingOptions {
   // client constructor. r + w must exceed n.
   std::size_t read_quorum = 1;
   std::size_t write_quorum = 0;  // 0 = all
-  sim::Duration op_timeout = 100 * sim::kMillisecond;
-  sim::Duration lock_timeout = 100 * sim::kMillisecond;
+  host::Duration op_timeout = 100 * host::kMillisecond;
+  host::Duration lock_timeout = 100 * host::kMillisecond;
 };
 
 struct VotingStats {
@@ -112,12 +112,12 @@ class VotingClient : public net::FrameHandler {
     VersionedValue value;  // read replies
   };
 
-  sim::Task<void> DoWrite(std::string key, std::string value,
+  host::Task<void> DoWrite(std::string key, std::string value,
                           std::function<void(bool)> done);
-  sim::Task<void> DoRead(std::string key,
+  host::Task<void> DoRead(std::string key,
                          std::function<void(std::optional<VersionedValue>)> done);
   // Sends `payload` of `type` to `targets`, waits for `need` acks.
-  sim::Task<std::vector<Ack>> Gather(VoteMsgType type,
+  host::Task<std::vector<Ack>> Gather(VoteMsgType type,
                                      const std::vector<std::uint8_t>& payload,
                                      std::size_t need, std::size_t fanout);
 
@@ -136,7 +136,7 @@ class VotingClient : public net::FrameHandler {
   };
   std::map<std::uint64_t, std::shared_ptr<Pending>> pending_;  // by req id
   core::WaitTable<bool> join_waiters_;
-  sim::TaskRegistry tasks_;
+  host::TaskRegistry tasks_;
 };
 
 }  // namespace vsr::baseline

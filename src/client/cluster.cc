@@ -77,8 +77,8 @@ void Cluster::Start(GroupId g) {
   }
 }
 
-bool Cluster::RunUntilStable(sim::Duration deadline_from_now) {
-  const sim::Time deadline = sim_.Now() + deadline_from_now;
+bool Cluster::RunUntilStable(host::Duration deadline_from_now) {
+  const host::Time deadline = sim_.Now() + deadline_from_now;
   while (sim_.Now() < deadline) {
     bool all_stable = true;
     for (GroupId g : started_) {
@@ -103,7 +103,7 @@ bool Cluster::RunUntilStable(sim::Duration deadline_from_now) {
     }
     if (all_stable) return true;
     // Advance in small increments so we notice stability promptly.
-    sim_.scheduler().RunUntil(sim_.Now() + 10 * sim::kMillisecond);
+    sim_.scheduler().RunUntil(sim_.Now() + 10 * host::kMillisecond);
   }
   return false;
 }

@@ -9,7 +9,7 @@
 //   cluster.Start();
 //   cluster.RunUntilStable();
 //   cluster.AnyPrimary(bank)->SpawnTransaction(...);
-//   cluster.RunFor(1 * sim::kSecond);
+//   cluster.RunFor(1 * host::kSecond);
 #pragma once
 
 #include <map>
@@ -19,9 +19,9 @@
 
 #include "core/cohort.h"
 #include "core/directory.h"
+#include "host/task.h"
 #include "net/network.h"
 #include "sim/simulation.h"
-#include "sim/task.h"
 #include "storage/stable_store.h"
 
 namespace vsr::client {
@@ -74,11 +74,11 @@ class Cluster {
 
   // -- running -----------------------------------------------------------
 
-  void RunFor(sim::Duration d) { sim_.scheduler().RunUntil(sim_.Now() + d); }
+  void RunFor(host::Duration d) { sim_.scheduler().RunUntil(sim_.Now() + d); }
 
   // Runs until every started group has an active primary whose view the
   // majority shares, or until `deadline_from_now`. Returns success.
-  bool RunUntilStable(sim::Duration deadline_from_now = 10 * sim::kSecond);
+  bool RunUntilStable(host::Duration deadline_from_now = 10 * host::kSecond);
 
   // -- fault injection ---------------------------------------------------
 

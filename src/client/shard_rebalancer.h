@@ -31,9 +31,9 @@ namespace vsr::client {
 
 struct RebalanceOptions {
   // Drain-poll / retry cadence.
-  sim::Duration poll_interval = 20 * sim::kMillisecond;
+  host::Duration poll_interval = 20 * host::kMillisecond;
   // Give up and CancelMove if a move has not committed by then (0 = never).
-  sim::Duration move_deadline = 0;
+  host::Duration move_deadline = 0;
 };
 
 class ShardRebalancer {
@@ -60,8 +60,8 @@ class ShardRebalancer {
     std::uint64_t drain_polls = 0;
     // Simulated time from BeginHandoff to CommitMove of the last move —
     // the window in which the range is unavailable.
-    sim::Duration last_handoff_window = 0;
-    sim::Duration last_move_duration = 0;
+    host::Duration last_handoff_window = 0;
+    host::Duration last_move_duration = 0;
   };
   const Stats& stats() const { return stats_; }
 
@@ -87,8 +87,8 @@ class ShardRebalancer {
   vr::GroupId to_ = 0;
   std::function<void(bool)> done_;
   std::uint64_t move_id_ = 0;  // guards stale pull completions
-  sim::Time move_began_ = 0;
-  sim::Time handoff_began_ = 0;
+  host::Time move_began_ = 0;
+  host::Time handoff_began_ = 0;
   sim::TimerId timer_ = sim::kNoTimer;
   Stats stats_;
 };

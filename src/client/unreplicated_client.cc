@@ -62,13 +62,13 @@ void UnreplicatedClient::OnFrame(const net::Frame& frame) {
 }
 
 void UnreplicatedClient::Spawn(
-    std::function<sim::Task<bool>(ClientTxn&)> body,
+    std::function<host::Task<bool>(ClientTxn&)> body,
     std::function<void(TxnOutcome)> on_done) {
   tasks_.Spawn(TxnDriver(std::move(body), std::move(on_done)));
 }
 
-sim::Task<void> UnreplicatedClient::TxnDriver(
-    std::function<sim::Task<bool>(ClientTxn&)> body,
+host::Task<void> UnreplicatedClient::TxnDriver(
+    std::function<host::Task<bool>(ClientTxn&)> body,
     std::function<void(TxnOutcome)> on_done) {
   auto aid = co_await BeginTxn();
   if (!aid) {
@@ -111,7 +111,7 @@ sim::Task<void> UnreplicatedClient::TxnDriver(
   if (on_done) on_done(outcome);
 }
 
-sim::Task<std::optional<Aid>> UnreplicatedClient::BeginTxn() {
+host::Task<std::optional<Aid>> UnreplicatedClient::BeginTxn() {
   for (int attempt = 0; attempt < options_.call_attempts; ++attempt) {
     auto entry = co_await CacheLookup(coordinator_group_);
     if (!entry) co_return std::nullopt;
@@ -138,7 +138,7 @@ sim::Task<std::optional<Aid>> UnreplicatedClient::BeginTxn() {
   co_return std::nullopt;
 }
 
-sim::Task<TxnOutcome> UnreplicatedClient::CommitTxn(Aid aid,
+host::Task<TxnOutcome> UnreplicatedClient::CommitTxn(Aid aid,
                                                     const Pset& pset) {
   for (int attempt = 0; attempt < options_.commit_attempts; ++attempt) {
     auto entry = co_await CacheLookup(coordinator_group_);
@@ -154,7 +154,7 @@ sim::Task<TxnOutcome> UnreplicatedClient::CommitTxn(Aid aid,
     // The coordinator-server runs a full 2PC before answering.
     auto r = co_await commit_waiters_.Await(
         m.req_id, options_.commit_ack_timeout +
-                      static_cast<sim::Duration>(options_.prepare_attempts) *
+                      static_cast<host::Duration>(options_.prepare_attempts) *
                           options_.prepare_timeout +
                       options_.buffer.force_timeout);
     if (!r) {
@@ -172,13 +172,13 @@ sim::Task<TxnOutcome> UnreplicatedClient::CommitTxn(Aid aid,
 void UnreplicatedClient::QueryOutcome(
     Aid aid, std::function<void(TxnOutcome)> on_done) {
   tasks_.Spawn([](UnreplicatedClient* self, Aid a,
-                  std::function<void(TxnOutcome)> done) -> sim::Task<void> {
+                  std::function<void(TxnOutcome)> done) -> host::Task<void> {
     TxnOutcome o = co_await self->DoQueryOutcome(a);
     if (done) done(o);
   }(this, aid, std::move(on_done)));
 }
 
-sim::Task<TxnOutcome> UnreplicatedClient::DoQueryOutcome(Aid aid) {
+host::Task<TxnOutcome> UnreplicatedClient::DoQueryOutcome(Aid aid) {
   const std::vector<Mid>* config = directory_.Lookup(aid.coordinator_group);
   if (config == nullptr) co_return TxnOutcome::kUnknown;
   for (int round = 0; round < options_.probe_rounds; ++round) {
@@ -203,12 +203,12 @@ sim::Task<TxnOutcome> UnreplicatedClient::DoQueryOutcome(Aid aid) {
   co_return TxnOutcome::kUnknown;
 }
 
-sim::Task<std::vector<std::uint8_t>> ClientTxn::Call(
+host::Task<std::vector<std::uint8_t>> ClientTxn::Call(
     GroupId group, std::string proc, std::vector<std::uint8_t> args) {
   return client_->DoCall(*this, group, std::move(proc), std::move(args));
 }
 
-sim::Task<std::vector<std::uint8_t>> UnreplicatedClient::DoCall(
+host::Task<std::vector<std::uint8_t>> UnreplicatedClient::DoCall(
     ClientTxn& txn, GroupId group, std::string proc,
     std::vector<std::uint8_t> args) {
   if (txn.doomed_) throw core::TxnError("transaction doomed");
@@ -259,7 +259,7 @@ sim::Task<std::vector<std::uint8_t>> UnreplicatedClient::DoCall(
   throw core::TxnError("no reply from group " + std::to_string(group));
 }
 
-sim::Task<std::optional<UnreplicatedClient::CacheEntry>>
+host::Task<std::optional<UnreplicatedClient::CacheEntry>>
 UnreplicatedClient::CacheLookup(GroupId g) {
   if (auto it = cache_.find(g); it != cache_.end()) co_return it->second;
   const std::vector<Mid>* config = directory_.Lookup(g);

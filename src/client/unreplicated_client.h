@@ -25,9 +25,9 @@
 #include "core/directory.h"
 #include "core/options.h"
 #include "core/wait_table.h"
+#include "host/task.h"
 #include "net/network.h"
 #include "sim/simulation.h"
-#include "sim/task.h"
 #include "vr/messages.h"
 #include "vr/types.h"
 
@@ -49,9 +49,9 @@ class ClientTxn {
 
   // Remote call; merges the reply pset. Throws core::TxnError on failure or
   // no reply (the §3.5 client has no subactions — uncertainty aborts).
-  sim::Task<std::vector<std::uint8_t>> Call(GroupId group, std::string proc,
+  host::Task<std::vector<std::uint8_t>> Call(GroupId group, std::string proc,
                                             std::vector<std::uint8_t> args);
-  sim::Task<std::vector<std::uint8_t>> Call(GroupId group, std::string proc,
+  host::Task<std::vector<std::uint8_t>> Call(GroupId group, std::string proc,
                                             const std::string& args) {
     return Call(group, std::move(proc),
                 std::vector<std::uint8_t>(args.begin(), args.end()));
@@ -83,7 +83,7 @@ class UnreplicatedClient : public net::FrameHandler {
 
   // Runs `body`; on true, commits via the coordinator-server; on false or
   // throw, aborts. `on_done` gets the final outcome.
-  void Spawn(std::function<sim::Task<bool>(ClientTxn&)> body,
+  void Spawn(std::function<host::Task<bool>(ClientTxn&)> body,
              std::function<void(TxnOutcome)> on_done = nullptr);
 
   // Queries the coordinator-server for a transaction's outcome (recovery
@@ -117,15 +117,15 @@ class UnreplicatedClient : public net::FrameHandler {
     return (static_cast<std::uint64_t>(self_) << 32) | next_call_seq_++;
   }
 
-  sim::Task<void> TxnDriver(std::function<sim::Task<bool>(ClientTxn&)> body,
+  host::Task<void> TxnDriver(std::function<host::Task<bool>(ClientTxn&)> body,
                             std::function<void(TxnOutcome)> on_done);
-  sim::Task<std::optional<Aid>> BeginTxn();
-  sim::Task<TxnOutcome> CommitTxn(Aid aid, const Pset& pset);
-  sim::Task<std::vector<std::uint8_t>> DoCall(ClientTxn& txn, GroupId group,
+  host::Task<std::optional<Aid>> BeginTxn();
+  host::Task<TxnOutcome> CommitTxn(Aid aid, const Pset& pset);
+  host::Task<std::vector<std::uint8_t>> DoCall(ClientTxn& txn, GroupId group,
                                               std::string proc,
                                               std::vector<std::uint8_t> args);
-  sim::Task<std::optional<CacheEntry>> CacheLookup(GroupId g);
-  sim::Task<TxnOutcome> DoQueryOutcome(Aid aid);
+  host::Task<std::optional<CacheEntry>> CacheLookup(GroupId g);
+  host::Task<TxnOutcome> DoQueryOutcome(Aid aid);
 
   sim::Simulation& sim_;
   net::Network& net_;
@@ -146,7 +146,7 @@ class UnreplicatedClient : public net::FrameHandler {
   core::WaitTable<vr::QueryReplyMsg> query_waiters_;
   std::map<Aid, std::uint64_t> query_corr_;
 
-  sim::TaskRegistry tasks_;
+  host::TaskRegistry tasks_;
 };
 
 }  // namespace vsr::client

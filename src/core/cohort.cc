@@ -72,9 +72,9 @@ Cohort::Cohort(host::Host& hst, net::Transport& network,
   // mygroupid ... are stored on stable storage when the cohort is first
   // created"). These writes are off the critical path.
   wire::Writer w;
-  w.U64(group_);
-  w.U32(self_);
-  w.Vector(configuration_, [&](Mid m) { w.U32(m); });
+  w.Put(group_);
+  w.Put(self_);
+  w.Put(configuration_);
   stable_.ForceWrite("identity/" + std::to_string(self_), w.Take(), nullptr,
                      self_);
 }
@@ -189,7 +189,7 @@ void Cohort::Recover() {
   cur_viewid_ = ViewId{};
   if (auto bytes = stable_.Read("viewid/" + std::to_string(self_))) {
     wire::Reader r(*bytes);
-    ViewId vid = ViewId::Decode(r);
+    const auto vid = r.Get<ViewId>();
     if (r.ok()) cur_viewid_ = vid;
   }
   max_viewid_ = cur_viewid_;

@@ -23,14 +23,15 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/directory.h"
 #include "core/options.h"
 #include "core/wait_table.h"
-#include "net/transport.h"
 #include "host/host.h"
 #include "host/task.h"
+#include "net/transport.h"
 #include "storage/event_log.h"
 #include "storage/stable_store.h"
 #include "txn/object_store.h"
@@ -729,6 +730,8 @@ class Cohort : public net::FrameHandler {
     // (a lock wait can outlast the client's per-transmission timeout).
     std::uint64_t latest_call_id = 0;
     Mid latest_reply_to = 0;
+    // Gstate layout of a completed entry (SnapshotGstate/RestoreGstate).
+    static auto Fields(auto& e) { return std::tie(e.aid, e.reply); }
   };
   // Keyed by call_seq. Completed entries are REPLICATED state: they travel
   // in completed-call records and the gstate snapshot, so any primary can

@@ -7,6 +7,7 @@
 // acknowledged before the crash, which is exactly why RecoverFromLog rejoins
 // as crashed-with-state (view_formation.h condition 4) and never as normal.
 #include "core/cohort.h"
+#include "core/payloads.h"
 
 namespace vsr::core {
 
@@ -26,14 +27,8 @@ constexpr std::uint8_t kLogApply = 2;
 void Cohort::LogCheckpoint(std::uint64_t ts) {
   if (!elog_.enabled()) return;
   wire::Writer w;
-  cur_viewid_.Encode(w);
-  w.U64(ts);
-  cur_view_.Encode(w);
-  history_.Encode(w);
-  const std::vector<std::uint8_t> gstate = SnapshotGstate();
-  w.Bytes(std::span<const std::uint8_t>(gstate));
-  w.U32(static_cast<std::uint32_t>(prepared_.size()));
-  for (const Aid& aid : prepared_) aid.Encode(w);
+  w.Put(LogCheckpointImage{cur_viewid_, ts, cur_view_, history_,
+                           SnapshotGstate(), prepared_});
   elog_.BeginGeneration({kLogCheckpoint, w.Take()});
 }
 
@@ -42,7 +37,7 @@ void Cohort::LogCheckpoint(std::uint64_t ts) {
 void Cohort::LogApply(const vr::EventRecord& rec) {
   if (!elog_.enabled() || log_replay_active_) return;
   wire::Writer w;
-  rec.Encode(w);
+  w.Put(rec);
   elog_.Append(kLogApply, w.Take());
 }
 
@@ -67,29 +62,21 @@ bool Cohort::RecoverFromLog() {
   if (ckpt == entries.size()) return false;
 
   wire::Reader r(entries[ckpt].payload);
-  ViewId vid = ViewId::Decode(r);
-  const std::uint64_t ts = r.U64();
-  View view = View::Decode(r);
-  vr::History hist = vr::History::Decode(r);
-  const std::vector<std::uint8_t> gstate = r.Bytes();
-  std::set<Aid> prepared;
-  const std::uint32_t prep_count = r.U32();
-  for (std::uint32_t i = 0; i < prep_count && r.ok(); ++i) {
-    prepared.insert(Aid::Decode(r));
-  }
-  if (!r.ok() || !r.AtEnd() || hist.Empty() || !view.Contains(self_)) {
+  LogCheckpointImage ck = r.Get<LogCheckpointImage>();
+  if (!r.ok() || !r.AtEnd() || ck.history.Empty() ||
+      !ck.view.Contains(self_)) {
     return false;  // garbled checkpoint: trust nothing
   }
 
-  cur_viewid_ = vid;
-  cur_view_ = std::move(view);
-  history_ = std::move(hist);
-  history_.Advance(ts);
-  RestoreGstate(gstate);
-  prepared_ = std::move(prepared);
+  cur_viewid_ = ck.viewid;
+  cur_view_ = std::move(ck.view);
+  history_ = std::move(ck.history);
+  history_.Advance(ck.ts);
+  RestoreGstate(ck.gstate);
+  prepared_ = std::move(ck.prepared);
   for (const Aid& aid : prepared_) txn_activity_[aid] = host_.Now();
   if (!prepared_.empty()) ArmQueryTimer();
-  applied_ts_ = ts;
+  applied_ts_ = ck.ts;
 
   // Re-apply the logged suffix in timestamp order. A gap means the segment
   // carrying the missing record never became durable; FIFO completion makes
@@ -98,7 +85,7 @@ bool Cohort::RecoverFromLog() {
   for (std::size_t i = ckpt + 1; i < entries.size(); ++i) {
     if (entries[i].kind != kLogApply) continue;
     wire::Reader er(entries[i].payload);
-    vr::EventRecord rec = vr::EventRecord::Decode(er);
+    const auto rec = er.Get<vr::EventRecord>();
     if (!er.ok() || !er.AtEnd()) break;
     if (rec.ts <= applied_ts_) continue;  // duplicate (pre-checkpoint flush)
     if (rec.ts != applied_ts_ + 1) break;

@@ -16,6 +16,7 @@
 // protocol drains them at the old owner (the handoff window) and takes a
 // final delta pull, so an image only ever carries committed bases.
 #include "core/cohort.h"
+#include "core/payloads.h"
 
 namespace vsr::core {
 
@@ -28,9 +29,7 @@ GroupId ProcContext::group() const { return cohort_.group(); }
 void Cohort::OnShardPull(const vr::ShardPullMsg& m) {
   if (!IsActivePrimary() || !buffer_.active()) return;
   wire::Writer w;
-  w.String(m.lo);
-  w.String(m.hi);
-  w.U64(group_);
+  w.Put(ShardImageHeader{{m.lo, m.hi}, group_});
   store_.SnapshotRange(w, m.lo, m.hi);
   ++stats_.shard_pulls_served;
   // Identified by our newest buffered viewstamp: a later re-pull of the
@@ -127,11 +126,9 @@ host::Task<void> Cohort::FinishShardInstall(std::uint64_t pull_id,
   // The image must answer exactly the pull we issued.
   {
     wire::Reader r(payload);
-    const std::string lo = r.String();
-    const std::string hi = r.String();
-    const GroupId src = r.U64();
-    if (!r.ok() || lo != shard_pull_->lo || hi != shard_pull_->hi ||
-        src != shard_pull_->from_group) {
+    const auto h = r.Get<ShardImageHeader>();
+    if (!r.ok() || h.bounds.lo != shard_pull_->lo ||
+        h.bounds.hi != shard_pull_->hi || h.source != shard_pull_->from_group) {
       ResetShardPull(false);
       co_return;
     }
@@ -165,16 +162,15 @@ void Cohort::ResetShardPull(bool ok) {
 
 void Cohort::ApplyShardRecord(const vr::EventRecord& rec) {
   wire::Reader r(rec.gstate);
-  const std::string lo = r.String();
-  const std::string hi = r.String();
   if (rec.type == vr::EventType::kShardInstall) {
-    (void)r.U64();  // source group: diagnostic only
+    (void)r.Get<ShardImageHeader>();  // bounds and source: diagnostic only
     if (!r.ok()) return;
     store_.InstallRange(r);
     ++stats_.shard_images_installed;
   } else {
+    const auto bounds = r.Get<ShardBounds>();
     if (!r.ok()) return;
-    store_.DropRange(lo, hi);
+    store_.DropRange(bounds.lo, bounds.hi);
     ++stats_.shard_ranges_dropped;
   }
 }
@@ -182,8 +178,7 @@ void Cohort::ApplyShardRecord(const vr::EventRecord& rec) {
 void Cohort::DropShard(std::string lo, std::string hi) {
   if (!IsActivePrimary() || !buffer_.active()) return;
   wire::Writer w;
-  w.String(lo);
-  w.String(hi);
+  w.Put(ShardBounds{std::move(lo), std::move(hi)});
   vr::EventRecord rec = vr::EventRecord::ShardDrop(w.Take());
   // Garbage collection: applied here and replicated lazily (no force —
   // losing a drop record to a view change merely delays the GC until the

@@ -2,6 +2,7 @@
 #include <memory>
 
 #include "core/cohort.h"
+#include "core/payloads.h"
 
 namespace vsr::core {
 
@@ -83,9 +84,8 @@ std::vector<std::uint8_t> Cohort::SnapshotGstate() const {
   w.U32(completed);
   for (const auto& [seq, e] : call_dedup_) {
     if (!e.completed) continue;
-    w.U64(seq);
-    e.aid.Encode(w);
-    e.reply.Encode(w);
+    w.Put(seq);
+    w.Put(e);
   }
   return w.Take();
 }
@@ -97,11 +97,9 @@ void Cohort::RestoreGstate(const std::vector<std::uint8_t>& bytes) {
   call_dedup_.clear();
   const std::uint32_t n = r.U32();
   for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-    const std::uint64_t seq = r.U64();
-    DedupEntry e;
+    const auto seq = r.Get<std::uint64_t>();
+    DedupEntry e = r.Get<DedupEntry>();
     e.completed = true;
-    e.aid = Aid::Decode(r);
-    e.reply = vr::ReplyMsg::Decode(r);
     call_dedup_[seq] = std::move(e);
   }
 }
@@ -326,23 +324,13 @@ void Cohort::ServeSnapshot(Mid backup) {
 
 std::shared_ptr<const std::vector<std::uint8_t>> Cohort::BuildSnapshotPayload()
     const {
-  // Layout (DESIGN.md §9.2): history, length-prefixed gstate (object store +
-  // outcomes + completed-call replies, the same bytes a newview record
-  // carries), then the prepared-transaction set — a promoted backup must know
-  // which blocked transactions to query coordinators about (§3.4).
-  wire::Writer w;
-  history_.Encode(w);
-  const std::vector<std::uint8_t> gstate = SnapshotGstate();
-  w.Bytes(std::span<const std::uint8_t>(gstate));
-  w.U32(static_cast<std::uint32_t>(prepared_.size()));
-  for (const Aid& aid : prepared_) aid.Encode(w);
-  // §3.6 sibling fallback targets travel with the prepared set, so a
+  // Layout: SnapshotPayload (DESIGN.md §9.2). The prepared set travels so a
+  // promoted backup knows which blocked transactions to query coordinators
+  // about (§3.4), and the §3.6 sibling fallback targets with it, so a
   // snapshot-caught-up cohort keeps its coordinator-partition escape hatch.
-  w.U32(static_cast<std::uint32_t>(prepared_siblings_.size()));
-  for (const auto& [aid, groups] : prepared_siblings_) {
-    aid.Encode(w);
-    w.Vector(groups, [&](GroupId g) { w.U64(g); });
-  }
+  wire::Writer w;
+  w.Put(SnapshotPayload{history_, SnapshotGstate(), prepared_,
+                        prepared_siblings_});
   return std::make_shared<const std::vector<std::uint8_t>>(w.Take());
 }
 
@@ -425,33 +413,22 @@ bool Cohort::InstallSnapshot(Viewstamp vs,
   // touching any cohort state. A truncated or trailing-garbage payload is
   // rejected wholesale.
   wire::Reader r(payload);
-  vr::History hist = vr::History::Decode(r);
-  const std::vector<std::uint8_t> gstate = r.Bytes();
-  std::set<Aid> prepared;
-  const std::uint32_t prep_count = r.U32();
-  for (std::uint32_t i = 0; i < prep_count && r.ok(); ++i) {
-    prepared.insert(Aid::Decode(r));
-  }
-  std::map<Aid, std::vector<GroupId>> siblings;
-  const std::uint32_t sib_count = r.U32();
-  for (std::uint32_t i = 0; i < sib_count && r.ok(); ++i) {
-    const Aid aid = Aid::Decode(r);
-    siblings[aid] = r.Vector<GroupId>([&] { return r.U64(); });
-  }
-  if (!r.ok() || !r.AtEnd() || hist.Empty() ||
-      hist.Latest().view != vs.view || hist.Latest().ts > vs.ts) {
+  SnapshotPayload snap = r.Get<SnapshotPayload>();
+  if (!r.ok() || !r.AtEnd() || snap.history.Empty() ||
+      snap.history.Latest().view != vs.view ||
+      snap.history.Latest().ts > vs.ts) {
     ++stats_.snapshot_installs_rejected;
     return false;
   }
 
-  history_ = std::move(hist);
+  history_ = std::move(snap.history);
   // The primary's history entry trails its buffer (it advances the entry at
   // view formation, not per record); the snapshot reflects records through
   // vs.ts, so account for them.
   history_.Advance(vs.ts);
-  RestoreGstate(gstate);
-  prepared_ = std::move(prepared);
-  prepared_siblings_ = std::move(siblings);
+  RestoreGstate(snap.gstate);
+  prepared_ = std::move(snap.prepared);
+  prepared_siblings_ = std::move(snap.siblings);
   // Restored blocked transactions look freshly active to the idle janitor
   // and are queried via the normal §3.4 path if they stay quiet.
   for (const Aid& aid : prepared_) txn_activity_[aid] = host_.Now();

@@ -288,7 +288,7 @@ void Cohort::StartViewAsPrimary(View v, ViewId vid) {
   const std::uint64_t epoch = ++start_view_epoch_;
   if (options_.write_viewid_durably) {
     wire::Writer w;
-    vid.Encode(w);
+    w.Put(vid);
     stable_.ForceWrite("viewid/" + std::to_string(self_), w.Take(),
                        [this, epoch, v, vid] {
                          if (start_view_epoch_ != epoch) return;
@@ -370,7 +370,7 @@ void Cohort::AdoptNewView(const vr::EventRecord& newview, ViewId vid,
   };
   if (options_.write_viewid_durably) {
     wire::Writer w;
-    vid.Encode(w);
+    w.Put(vid);
     stable_.ForceWrite("viewid/" + std::to_string(self_), w.Take(), finish,
                        self_);
   } else {

@@ -28,7 +28,7 @@ class FrameLog {
   FrameLog& operator=(const FrameLog&) = delete;
 
   struct Entry {
-    sim::Time at = 0;
+    host::Time at = 0;
     NodeId from = 0;
     NodeId to = 0;
     std::uint16_t type = 0;
@@ -54,7 +54,7 @@ class FrameLog {
               ? vr::MsgTypeName(static_cast<vr::MsgType>(e.type))
               : "?";
       std::snprintf(buf, sizeof(buf), "t=%-12s %3u -> %-3u %-16s (%zuB)",
-                    sim::FormatDuration(e.at).c_str(), e.from, e.to, name,
+                    host::FormatDuration(e.at).c_str(), e.from, e.to, name,
                     e.bytes);
       out.push_back(buf);
     }

@@ -62,7 +62,7 @@ bool Network::Reachable(NodeId from, NodeId to) const {
   return true;
 }
 
-sim::Duration Network::DrawDelay() {
+host::Duration Network::DrawDelay() {
   if (options_.delay_max <= options_.delay_min) return options_.delay_min;
   return rng_.UniformInt(options_.delay_min, options_.delay_max);
 }

@@ -26,8 +26,8 @@ namespace vsr::net {
 
 struct NetworkOptions {
   // One-way delivery delay is drawn uniformly from [delay_min, delay_max].
-  sim::Duration delay_min = 100 * sim::kMicrosecond;
-  sim::Duration delay_max = 500 * sim::kMicrosecond;
+  host::Duration delay_min = 100 * host::kMicrosecond;
+  host::Duration delay_max = 500 * host::kMicrosecond;
   // Probability that a frame is silently lost.
   double loss_probability = 0.0;
   // Probability that a frame is delivered twice (with independent delays).
@@ -109,7 +109,7 @@ class Network final : public Transport {
 
  private:
   void Deliver(Frame frame, std::uint32_t crc);
-  sim::Duration DrawDelay();
+  host::Duration DrawDelay();
   static std::uint64_t LinkKey(NodeId a, NodeId b);
 
   sim::Simulation& sim_;

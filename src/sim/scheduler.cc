@@ -5,7 +5,7 @@
 
 namespace vsr::sim {
 
-TimerId Scheduler::At(Time at, std::function<void()> fn) {
+TimerId Scheduler::At(host::Time at, std::function<void()> fn) {
   if (at < now_) at = now_;
   TimerId id = next_id_++;
   pending_.insert(id);
@@ -14,7 +14,7 @@ TimerId Scheduler::At(Time at, std::function<void()> fn) {
   return id;
 }
 
-TimerId Scheduler::After(Duration delay, std::function<void()> fn) {
+TimerId Scheduler::After(host::Duration delay, std::function<void()> fn) {
   return At(now_ + delay, std::move(fn));
 }
 
@@ -42,7 +42,7 @@ bool Scheduler::PopAndRun() {
 
 bool Scheduler::Step() { return PopAndRun(); }
 
-std::uint64_t Scheduler::RunUntil(Time deadline) {
+std::uint64_t Scheduler::RunUntil(host::Time deadline) {
   std::uint64_t ran = 0;
   while (!queue_.empty()) {
     const Event& top = queue_.top();

@@ -18,8 +18,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "host/time.h"
 #include "host/timer.h"
-#include "sim/time.h"
 
 namespace vsr::sim {
 
@@ -34,13 +34,13 @@ class Scheduler final : public host::TimerService {
   Scheduler& operator=(const Scheduler&) = delete;
 
   // Current simulated time.
-  Time Now() const override { return now_; }
+  host::Time Now() const override { return now_; }
 
   // Schedules `fn` to run at absolute time `at` (clamped to >= Now()).
-  TimerId At(Time at, std::function<void()> fn) override;
+  TimerId At(host::Time at, std::function<void()> fn) override;
 
   // Schedules `fn` to run `delay` from now.
-  TimerId After(Duration delay, std::function<void()> fn) override;
+  TimerId After(host::Duration delay, std::function<void()> fn) override;
 
   // Cancels a pending event. Cancelling an already-fired or unknown id is a
   // harmless no-op, so callers do not need to track firing themselves.
@@ -52,7 +52,7 @@ class Scheduler final : public host::TimerService {
   // Runs events until the queue is empty or simulated time would exceed
   // `deadline`; leaves events scheduled after the deadline pending and
   // advances Now() to the deadline. Returns the number of events run.
-  std::uint64_t RunUntil(Time deadline);
+  std::uint64_t RunUntil(host::Time deadline);
 
   // Runs events until the queue drains. Returns the number of events run.
   // `max_events` guards against runaway self-rescheduling loops.
@@ -64,7 +64,7 @@ class Scheduler final : public host::TimerService {
 
  private:
   struct Event {
-    Time at;
+    host::Time at;
     std::uint64_t seq;
     TimerId id;
     // Stored via shared_ptr so Event is copyable inside the priority_queue.
@@ -78,7 +78,7 @@ class Scheduler final : public host::TimerService {
 
   bool PopAndRun();
 
-  Time now_ = 0;
+  host::Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   TimerId next_id_ = 1;
   std::uint64_t events_run_ = 0;

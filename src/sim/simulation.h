@@ -12,9 +12,9 @@
 #include <cstdint>
 
 #include "host/host.h"
+#include "host/trace.h"
 #include "sim/rng.h"
 #include "sim/scheduler.h"
-#include "sim/trace.h"
 
 namespace vsr::sim {
 
@@ -27,8 +27,8 @@ class Simulation {
   std::uint64_t seed() const { return seed_; }
   Scheduler& scheduler() { return sched_; }
   Rng& rng() { return rng_; }
-  Tracer& tracer() { return tracer_; }
-  Time Now() const { return sched_.Now(); }
+  host::Tracer& tracer() { return tracer_; }
+  host::Time Now() const { return sched_.Now(); }
 
   // The host-seam view of this simulation (one shared Host for all nodes).
   host::Host& host() { return host_; }
@@ -38,7 +38,7 @@ class Simulation {
   std::uint64_t seed_;
   Scheduler sched_;
   Rng rng_;
-  Tracer tracer_;
+  host::Tracer tracer_;
   host::Host host_{sched_, tracer_};
 };
 

@@ -28,6 +28,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "host/host.h"
@@ -171,18 +172,25 @@ class ObjectStore {
   const Stats& stats() const { return stats_; }
 
  private:
+  // Snapshot layout (Snapshot/Restore): the object map, each object as
+  // these field lists.
   struct TentativeVersion {
     SubAid owner;
     std::string value;
+    static auto Fields(auto& t) { return std::tie(t.owner, t.value); }
   };
   struct LockHolder {
     Aid aid;
     LockMode mode;
+    static auto Fields(auto& h) { return std::tie(h.aid, h.mode); }
   };
   struct Object {
     std::optional<std::string> base;
     std::vector<LockHolder> holders;
     std::vector<TentativeVersion> tentatives;  // in creation order
+    static auto Fields(auto& o) {
+      return std::tie(o.base, o.holders, o.tentatives);
+    }
   };
   struct Waiter {
     std::uint64_t id;

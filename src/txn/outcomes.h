@@ -40,23 +40,8 @@ class OutcomeTable {
   std::size_t size() const { return outcomes_.size(); }
   void Clear() { outcomes_.clear(); }
 
-  void Snapshot(wire::Writer& w) const {
-    w.U32(static_cast<std::uint32_t>(outcomes_.size()));
-    for (const auto& [aid, outcome] : outcomes_) {
-      aid.Encode(w);
-      w.U8(static_cast<std::uint8_t>(outcome));
-    }
-  }
-  void Restore(wire::Reader& r) {
-    outcomes_.clear();
-    const std::uint32_t n = r.U32();
-    for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
-      vr::Aid aid = vr::Aid::Decode(r);
-      std::uint8_t o = r.U8();
-      if (o > 3) r.MarkBad();
-      outcomes_[aid] = static_cast<vr::TxnOutcome>(o);
-    }
-  }
+  void Snapshot(wire::Writer& w) const { w.Put(outcomes_); }
+  void Restore(wire::Reader& r) { r.Read(outcomes_); }
 
   std::uint64_t committed_count() const {
     std::uint64_t n = 0;

@@ -3,27 +3,8 @@
 namespace vsr::vr {
 
 const char* EventTypeName(EventType t) {
-  switch (t) {
-    case EventType::kCompletedCall:
-      return "completed-call";
-    case EventType::kCommitting:
-      return "committing";
-    case EventType::kCommitted:
-      return "committed";
-    case EventType::kAborted:
-      return "aborted";
-    case EventType::kDone:
-      return "done";
-    case EventType::kAbortedSub:
-      return "aborted-sub";
-    case EventType::kNewView:
-      return "newview";
-    case EventType::kShardInstall:
-      return "shard-install";
-    case EventType::kShardDrop:
-      return "shard-drop";
-  }
-  return "?";
+  const auto i = static_cast<std::size_t>(t);
+  return i < std::size(kEventTypeNames) ? kEventTypeNames[i] : "?";
 }
 
 std::string EventRecord::ToString() const {

@@ -9,8 +9,10 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "vr/history.h"
@@ -23,6 +25,7 @@ enum class LockMode : std::uint8_t {
   kRead = 0,
   kWrite = 1,
 };
+constexpr LockMode WireMax(LockMode) { return LockMode::kWrite; }
 
 // One object touched by a completed call: which lock was taken and, for
 // writes, the tentative version created (§3.2 "object-list").
@@ -33,21 +36,7 @@ struct ObjectEffect {
 
   bool operator==(const ObjectEffect&) const = default;
 
-  void Encode(wire::Writer& w) const {
-    w.String(uid);
-    w.U8(static_cast<std::uint8_t>(mode));
-    w.Bool(tentative.has_value());
-    if (tentative) w.String(*tentative);
-  }
-  static ObjectEffect Decode(wire::Reader& r) {
-    ObjectEffect e;
-    e.uid = r.String();
-    std::uint8_t m = r.U8();
-    if (m > 1) r.MarkBad();
-    e.mode = static_cast<LockMode>(m);
-    if (r.Bool()) e.tentative = r.String();
-    return e;
-  }
+  static auto Fields(auto& e) { return std::tie(e.uid, e.mode, e.tentative); }
 };
 
 enum class EventType : std::uint8_t {
@@ -65,6 +54,16 @@ enum class EventType : std::uint8_t {
   kShardInstall = 7,
   kShardDrop = 8,
 };
+constexpr EventType WireMax(EventType) { return EventType::kShardDrop; }
+
+// Every record type's name, indexed by EventType.
+inline constexpr const char* kEventTypeNames[] = {
+    "completed-call", "committing", "committed",     "aborted",    "done",
+    "aborted-sub",    "newview",    "shard-install", "shard-drop",
+};
+static_assert(std::size(kEventTypeNames) ==
+                  static_cast<std::size_t>(WireMax(EventType{})) + 1,
+              "one name per EventType value");
 
 const char* EventTypeName(EventType t);
 
@@ -161,36 +160,12 @@ struct EventRecord {
     return e;
   }
 
-  void Encode(wire::Writer& w) const {
-    w.U8(static_cast<std::uint8_t>(type));
-    w.U64(ts);
-    sub_aid.Encode(w);
-    w.Vector(effects, [&](const ObjectEffect& e) { e.Encode(w); });
-    w.U64(call_seq);
-    w.Bytes(result);
-    w.Vector(nested_pset, [&](const PsetEntry& p) { p.Encode(w); });
-    w.Vector(plist, [&](GroupId g) { w.U64(g); });
-    view.Encode(w);
-    history.Encode(w);
-    w.Bytes(gstate);
+  static auto Fields(auto& e) {
+    return std::tie(e.type, e.ts, e.sub_aid, e.effects, e.call_seq, e.result,
+                    e.nested_pset, e.plist, e.view, e.history, e.gstate);
   }
-  static EventRecord Decode(wire::Reader& r) {
-    EventRecord e;
-    std::uint8_t t = r.U8();
-    if (t > static_cast<std::uint8_t>(EventType::kShardDrop)) r.MarkBad();
-    e.type = static_cast<EventType>(t);
-    e.ts = r.U64();
-    e.sub_aid = SubAid::Decode(r);
-    e.effects = r.Vector<ObjectEffect>([&] { return ObjectEffect::Decode(r); });
-    e.call_seq = r.U64();
-    e.result = r.Bytes();
-    e.nested_pset = r.Vector<PsetEntry>([&] { return PsetEntry::Decode(r); });
-    e.plist = r.Vector<GroupId>([&] { return r.U64(); });
-    e.view = View::Decode(r);
-    e.history = History::Decode(r);
-    e.gstate = r.Bytes();
-    return e;
-  }
+  void Encode(wire::Writer& w) const { w.Put(*this); }
+  static EventRecord Decode(wire::Reader& r) { return r.Get<EventRecord>(); }
 
   std::string ToString() const;
 };

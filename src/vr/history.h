@@ -11,6 +11,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "vr/types.h"
@@ -71,14 +72,9 @@ class History {
 
   bool operator==(const History&) const = default;
 
-  void Encode(wire::Writer& w) const {
-    w.Vector(entries_, [&](const Viewstamp& v) { v.Encode(w); });
-  }
-  static History Decode(wire::Reader& r) {
-    History h;
-    h.entries_ = r.Vector<Viewstamp>([&] { return Viewstamp::Decode(r); });
-    return h;
-  }
+  static auto Fields(auto& h) { return std::tie(h.entries_); }
+  void Encode(wire::Writer& w) const { w.Put(*this); }
+  static History Decode(wire::Reader& r) { return r.Get<History>(); }
 
   std::string ToString() const {
     std::string s = "[";

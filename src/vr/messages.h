@@ -18,12 +18,14 @@
 //   BeginTxn/...  the coordinator-server protocol for unreplicated
 //                 clients (§3.5)
 //
-// Every struct has Encode(wire::Writer&) and static Decode(wire::Reader&);
-// a decoded message is only meaningful if reader.ok() afterwards.
+// Every struct states its layout once, as Fields (DESIGN.md §8), and has
+// Encode(wire::Writer&) and static Decode(wire::Reader&) driven by it; a
+// decoded message is only meaningful if reader.ok() afterwards.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "vr/events.h"
@@ -69,51 +71,38 @@ enum class MsgType : std::uint16_t {
   kBackupReadReply = 30,
 };
 
-const char* MsgTypeName(MsgType t);
-
 // ---------------------------------------------------------------------------
 // Failure detection & view change
 // ---------------------------------------------------------------------------
 
 struct PingMsg {
   static constexpr MsgType kType = MsgType::kPing;
+  static constexpr const char* kName = "ping";
   GroupId group = 0;
   Mid from = 0;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    w.U32(from);
-  }
-  static PingMsg Decode(wire::Reader& r) {
-    PingMsg m;
-    m.group = r.U64();
-    m.from = r.U32();
-    return m;
-  }
+  static auto Fields(auto& m) { return std::tie(m.group, m.from); }
+  void Encode(wire::Writer& w) const { w.Put(*this); }
+  static PingMsg Decode(wire::Reader& r) { return r.Get<PingMsg>(); }
 };
 
 struct InviteMsg {
   static constexpr MsgType kType = MsgType::kInvite;
+  static constexpr const char* kName = "invite";
   GroupId group = 0;
   ViewId new_viewid;
   Mid from = 0;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    new_viewid.Encode(w);
-    w.U32(from);
+  static auto Fields(auto& m) {
+    return std::tie(m.group, m.new_viewid, m.from);
   }
-  static InviteMsg Decode(wire::Reader& r) {
-    InviteMsg m;
-    m.group = r.U64();
-    m.new_viewid = ViewId::Decode(r);
-    m.from = r.U32();
-    return m;
-  }
+  void Encode(wire::Writer& w) const { w.Put(*this); }
+  static InviteMsg Decode(wire::Reader& r) { return r.Get<InviteMsg>(); }
 };
 
 struct AcceptMsg {
   static constexpr MsgType kType = MsgType::kAccept;
+  static constexpr const char* kName = "accept";
   GroupId group = 0;
   // The viewid of the invitation being accepted.
   ViewId invite_viewid;
@@ -133,26 +122,13 @@ struct AcceptMsg {
   // Crash acceptance: cur_viewid recovered from stable storage.
   ViewId crash_viewid;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    invite_viewid.Encode(w);
-    w.U32(from);
-    w.Bool(crashed);
-    last_vs.Encode(w);
-    w.Bool(was_primary);
-    crash_viewid.Encode(w);
-    w.Bool(recovered);
+  static auto Fields(auto& m) {
+    return std::tie(m.group, m.invite_viewid, m.from, m.crashed, m.last_vs,
+                    m.was_primary, m.crash_viewid, m.recovered);
   }
+  void Encode(wire::Writer& w) const { w.Put(*this); }
   static AcceptMsg Decode(wire::Reader& r) {
-    AcceptMsg m;
-    m.group = r.U64();
-    m.invite_viewid = ViewId::Decode(r);
-    m.from = r.U32();
-    m.crashed = r.Bool();
-    m.last_vs = Viewstamp::Decode(r);
-    m.was_primary = r.Bool();
-    m.crash_viewid = ViewId::Decode(r);
-    m.recovered = r.Bool();
+    AcceptMsg m = r.Get<AcceptMsg>();
     if (m.recovered && !m.crashed) r.MarkBad();
     return m;
   }
@@ -160,25 +136,17 @@ struct AcceptMsg {
 
 struct InitViewMsg {
   static constexpr MsgType kType = MsgType::kInitView;
+  static constexpr const char* kName = "init-view";
   GroupId group = 0;
   ViewId viewid;
   View view;
   Mid from = 0;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    viewid.Encode(w);
-    view.Encode(w);
-    w.U32(from);
+  static auto Fields(auto& m) {
+    return std::tie(m.group, m.viewid, m.view, m.from);
   }
-  static InitViewMsg Decode(wire::Reader& r) {
-    InitViewMsg m;
-    m.group = r.U64();
-    m.viewid = ViewId::Decode(r);
-    m.view = View::Decode(r);
-    m.from = r.U32();
-    return m;
-  }
+  void Encode(wire::Writer& w) const { w.Put(*this); }
+  static InitViewMsg Decode(wire::Reader& r) { return r.Get<InitViewMsg>(); }
 };
 
 // ---------------------------------------------------------------------------
@@ -187,30 +155,25 @@ struct InitViewMsg {
 
 struct BufferBatchMsg {
   static constexpr MsgType kType = MsgType::kBufferBatch;
+  static constexpr const char* kName = "buffer-batch";
   GroupId group = 0;
   ViewId viewid;
   Mid from = 0;
   // Contiguous run of event records, in timestamp order.
   std::vector<EventRecord> events;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    viewid.Encode(w);
-    w.U32(from);
-    w.Vector(events, [&](const EventRecord& e) { e.Encode(w); });
+  static auto Fields(auto& m) {
+    return std::tie(m.group, m.viewid, m.from, m.events);
   }
+  void Encode(wire::Writer& w) const { w.Put(*this); }
   static BufferBatchMsg Decode(wire::Reader& r) {
-    BufferBatchMsg m;
-    m.group = r.U64();
-    m.viewid = ViewId::Decode(r);
-    m.from = r.U32();
-    m.events = r.Vector<EventRecord>([&] { return EventRecord::Decode(r); });
-    return m;
+    return r.Get<BufferBatchMsg>();
   }
 };
 
 struct BufferAckMsg {
   static constexpr MsgType kType = MsgType::kBufferAck;
+  static constexpr const char* kName = "buffer-ack";
   GroupId group = 0;
   ViewId viewid;
   Mid from = 0;
@@ -234,26 +197,13 @@ struct BufferAckMsg {
   // advanced past (it would trigger a redundant restream).
   std::uint64_t rejoin_epoch = 0;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    viewid.Encode(w);
-    w.U32(from);
-    w.U64(ts);
-    w.Bool(gap);
-    w.U64(gap_hi);
-    w.Bool(rejoin);
-    w.U64(rejoin_epoch);
+  static auto Fields(auto& m) {
+    return std::tie(m.group, m.viewid, m.from, m.ts, m.gap, m.gap_hi, m.rejoin,
+                    m.rejoin_epoch);
   }
+  void Encode(wire::Writer& w) const { w.Put(*this); }
   static BufferAckMsg Decode(wire::Reader& r) {
-    BufferAckMsg m;
-    m.group = r.U64();
-    m.viewid = ViewId::Decode(r);
-    m.from = r.U32();
-    m.ts = r.U64();
-    m.gap = r.Bool();
-    m.gap_hi = r.U64();
-    m.rejoin = r.Bool();
-    m.rejoin_epoch = r.U64();
+    BufferAckMsg m = r.Get<BufferAckMsg>();
     if (m.gap && m.gap_hi <= m.ts) r.MarkBad();
     return m;
   }
@@ -269,6 +219,7 @@ struct BufferAckMsg {
 // a transfer can be adopted from any chunk and verified on completion.
 struct SnapshotChunkMsg {
   static constexpr MsgType kType = MsgType::kSnapshotChunk;
+  static constexpr const char* kName = "snapshot-chunk";
   GroupId group = 0;
   ViewId viewid;
   Mid from = 0;
@@ -278,26 +229,13 @@ struct SnapshotChunkMsg {
   std::uint64_t offset = 0;      // position of `data` within the payload
   std::vector<std::uint8_t> data;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    viewid.Encode(w);
-    w.U32(from);
-    vs.Encode(w);
-    w.U64(total_size);
-    w.U32(checksum);
-    w.U64(offset);
-    w.Bytes(std::span<const std::uint8_t>(data));
+  static auto Fields(auto& m) {
+    return std::tie(m.group, m.viewid, m.from, m.vs, m.total_size, m.checksum,
+                    m.offset, m.data);
   }
+  void Encode(wire::Writer& w) const { w.Put(*this); }
   static SnapshotChunkMsg Decode(wire::Reader& r) {
-    SnapshotChunkMsg m;
-    m.group = r.U64();
-    m.viewid = ViewId::Decode(r);
-    m.from = r.U32();
-    m.vs = Viewstamp::Decode(r);
-    m.total_size = r.U64();
-    m.checksum = r.U32();
-    m.offset = r.U64();
-    m.data = r.Bytes();
+    SnapshotChunkMsg m = r.Get<SnapshotChunkMsg>();
     // Every chunk carries at least one byte strictly inside the payload; an
     // empty snapshot does not exist (gstate is never zero bytes).
     if (m.total_size == 0 || m.offset >= m.total_size || m.data.empty() ||
@@ -314,27 +252,19 @@ struct SnapshotChunkMsg {
 // signals the sink restarted and the transfer rewinds.
 struct SnapshotAckMsg {
   static constexpr MsgType kType = MsgType::kSnapshotAck;
+  static constexpr const char* kName = "snapshot-ack";
   GroupId group = 0;
   ViewId viewid;
   Mid from = 0;
   Viewstamp vs;
   std::uint64_t offset = 0;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    viewid.Encode(w);
-    w.U32(from);
-    vs.Encode(w);
-    w.U64(offset);
+  static auto Fields(auto& m) {
+    return std::tie(m.group, m.viewid, m.from, m.vs, m.offset);
   }
+  void Encode(wire::Writer& w) const { w.Put(*this); }
   static SnapshotAckMsg Decode(wire::Reader& r) {
-    SnapshotAckMsg m;
-    m.group = r.U64();
-    m.viewid = ViewId::Decode(r);
-    m.from = r.U32();
-    m.vs = Viewstamp::Decode(r);
-    m.offset = r.U64();
-    return m;
+    return r.Get<SnapshotAckMsg>();
   }
 };
 
@@ -344,6 +274,7 @@ struct SnapshotAckMsg {
 
 struct CallMsg {
   static constexpr MsgType kType = MsgType::kCall;
+  static constexpr const char* kName = "call";
   GroupId group = 0;  // destination group
   ViewId viewid;      // client's cached viewid for the group (Fig. 2 step 1)
   // Correlation id for the reply (unique per sender).
@@ -363,30 +294,12 @@ struct CallMsg {
   std::string proc;
   std::vector<std::uint8_t> args;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    viewid.Encode(w);
-    w.U64(call_id);
-    w.U64(call_seq);
-    w.U32(reply_to);
-    sub_aid.Encode(w);
-    w.Vector(dead_subs, [&](std::uint32_t s) { w.U32(s); });
-    w.String(proc);
-    w.Bytes(args);
+  static auto Fields(auto& m) {
+    return std::tie(m.group, m.viewid, m.call_id, m.call_seq, m.reply_to,
+                    m.sub_aid, m.dead_subs, m.proc, m.args);
   }
-  static CallMsg Decode(wire::Reader& r) {
-    CallMsg m;
-    m.group = r.U64();
-    m.viewid = ViewId::Decode(r);
-    m.call_id = r.U64();
-    m.call_seq = r.U64();
-    m.reply_to = r.U32();
-    m.sub_aid = SubAid::Decode(r);
-    m.dead_subs = r.Vector<std::uint32_t>([&] { return r.U32(); });
-    m.proc = r.String();
-    m.args = r.Bytes();
-    return m;
-  }
+  void Encode(wire::Writer& w) const { w.Put(*this); }
+  static CallMsg Decode(wire::Reader& r) { return r.Get<CallMsg>(); }
 };
 
 enum class ReplyStatus : std::uint8_t {
@@ -398,9 +311,11 @@ enum class ReplyStatus : std::uint8_t {
   // the transaction must abort.
   kFailed = 2,
 };
+constexpr ReplyStatus WireMax(ReplyStatus) { return ReplyStatus::kFailed; }
 
 struct ReplyMsg {
   static constexpr MsgType kType = MsgType::kReply;
+  static constexpr const char* kName = "reply";
   std::uint64_t call_id = 0;
   ReplyStatus status = ReplyStatus::kOk;
   std::vector<std::uint8_t> result;
@@ -409,28 +324,12 @@ struct ReplyMsg {
   ViewId new_viewid;
   View new_view;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(call_id);
-    w.U8(static_cast<std::uint8_t>(status));
-    w.Bytes(result);
-    w.Vector(pset, [&](const PsetEntry& e) { e.Encode(w); });
-    w.Bool(view_known);
-    new_viewid.Encode(w);
-    new_view.Encode(w);
+  static auto Fields(auto& m) {
+    return std::tie(m.call_id, m.status, m.result, m.pset, m.view_known,
+                    m.new_viewid, m.new_view);
   }
-  static ReplyMsg Decode(wire::Reader& r) {
-    ReplyMsg m;
-    m.call_id = r.U64();
-    std::uint8_t s = r.U8();
-    if (s > 2) r.MarkBad();
-    m.status = static_cast<ReplyStatus>(s);
-    m.result = r.Bytes();
-    m.pset = r.Vector<PsetEntry>([&] { return PsetEntry::Decode(r); });
-    m.view_known = r.Bool();
-    m.new_viewid = ViewId::Decode(r);
-    m.new_view = View::Decode(r);
-    return m;
-  }
+  void Encode(wire::Writer& w) const { w.Put(*this); }
+  static ReplyMsg Decode(wire::Reader& r) { return r.Get<ReplyMsg>(); }
 };
 
 // ---------------------------------------------------------------------------
@@ -439,25 +338,17 @@ struct ReplyMsg {
 
 struct PrepareMsg {
   static constexpr MsgType kType = MsgType::kPrepare;
+  static constexpr const char* kName = "prepare";
   GroupId group = 0;  // destination (participant) group
   Aid aid;
   Pset pset;
   Mid reply_to = 0;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    aid.Encode(w);
-    w.Vector(pset, [&](const PsetEntry& e) { e.Encode(w); });
-    w.U32(reply_to);
+  static auto Fields(auto& m) {
+    return std::tie(m.group, m.aid, m.pset, m.reply_to);
   }
-  static PrepareMsg Decode(wire::Reader& r) {
-    PrepareMsg m;
-    m.group = r.U64();
-    m.aid = Aid::Decode(r);
-    m.pset = r.Vector<PsetEntry>([&] { return PsetEntry::Decode(r); });
-    m.reply_to = r.U32();
-    return m;
-  }
+  void Encode(wire::Writer& w) const { w.Put(*this); }
+  static PrepareMsg Decode(wire::Reader& r) { return r.Get<PrepareMsg>(); }
 };
 
 enum class PrepareStatus : std::uint8_t {
@@ -471,9 +362,13 @@ enum class PrepareStatus : std::uint8_t {
   // primary if the cohort knows them").
   kWrongPrimary = 2,
 };
+constexpr PrepareStatus WireMax(PrepareStatus) {
+  return PrepareStatus::kWrongPrimary;
+}
 
 struct PrepareReplyMsg {
   static constexpr MsgType kType = MsgType::kPrepareReply;
+  static constexpr const char* kName = "prepare-reply";
   Aid aid;
   GroupId from_group = 0;
   PrepareStatus status = PrepareStatus::kRefused;
@@ -492,29 +387,13 @@ struct PrepareReplyMsg {
   // "prepared" and "durable up to vs" in a single round.
   Viewstamp prepared_vs;
 
-  void Encode(wire::Writer& w) const {
-    aid.Encode(w);
-    w.U64(from_group);
-    w.U8(static_cast<std::uint8_t>(status));
-    w.Bool(read_only);
-    w.Bool(view_known);
-    new_viewid.Encode(w);
-    new_view.Encode(w);
-    prepared_vs.Encode(w);
+  static auto Fields(auto& m) {
+    return std::tie(m.aid, m.from_group, m.status, m.read_only, m.view_known,
+                    m.new_viewid, m.new_view, m.prepared_vs);
   }
+  void Encode(wire::Writer& w) const { w.Put(*this); }
   static PrepareReplyMsg Decode(wire::Reader& r) {
-    PrepareReplyMsg m;
-    m.aid = Aid::Decode(r);
-    m.from_group = r.U64();
-    std::uint8_t s = r.U8();
-    if (s > 2) r.MarkBad();
-    m.status = static_cast<PrepareStatus>(s);
-    m.read_only = r.Bool();
-    m.view_known = r.Bool();
-    m.new_viewid = ViewId::Decode(r);
-    m.new_view = View::Decode(r);
-    m.prepared_vs = Viewstamp::Decode(r);
-    return m;
+    return r.Get<PrepareReplyMsg>();
   }
 };
 
@@ -529,22 +408,16 @@ struct CommitExtra {
   Viewstamp decision_vs;
   bool fused = false;
 
-  void Encode(wire::Writer& w) const {
-    aid.Encode(w);
-    decision_vs.Encode(w);
-    w.Bool(fused);
+  static auto Fields(auto& e) {
+    return std::tie(e.aid, e.decision_vs, e.fused);
   }
-  static CommitExtra Decode(wire::Reader& r) {
-    CommitExtra e;
-    e.aid = Aid::Decode(r);
-    e.decision_vs = Viewstamp::Decode(r);
-    e.fused = r.Bool();
-    return e;
-  }
+  void Encode(wire::Writer& w) const { w.Put(*this); }
+  static CommitExtra Decode(wire::Reader& r) { return r.Get<CommitExtra>(); }
 };
 
 struct CommitMsg {
   static constexpr MsgType kType = MsgType::kCommit;
+  static constexpr const char* kName = "commit";
   GroupId group = 0;
   Aid aid;
   Mid reply_to = 0;
@@ -562,29 +435,17 @@ struct CommitMsg {
   // targets the same primary (wire trailer — appended, never reordered).
   std::vector<CommitExtra> extras;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    aid.Encode(w);
-    w.U32(reply_to);
-    decision_vs.Encode(w);
-    w.Bool(fused);
-    w.Vector(extras, [&](const CommitExtra& e) { e.Encode(w); });
+  static auto Fields(auto& m) {
+    return std::tie(m.group, m.aid, m.reply_to, m.decision_vs, m.fused,
+                    m.extras);
   }
-  static CommitMsg Decode(wire::Reader& r) {
-    CommitMsg m;
-    m.group = r.U64();
-    m.aid = Aid::Decode(r);
-    m.reply_to = r.U32();
-    m.decision_vs = Viewstamp::Decode(r);
-    m.fused = r.Bool();
-    m.extras =
-        r.Vector<CommitExtra>([&] { return CommitExtra::Decode(r); });
-    return m;
-  }
+  void Encode(wire::Writer& w) const { w.Put(*this); }
+  static CommitMsg Decode(wire::Reader& r) { return r.Get<CommitMsg>(); }
 };
 
 struct CommitDoneMsg {
   static constexpr MsgType kType = MsgType::kCommitDone;
+  static constexpr const char* kName = "commit-done";
   Aid aid;
   GroupId from_group = 0;
   // Redirect: the receiver was not an active primary (see PrepareStatus).
@@ -593,58 +454,36 @@ struct CommitDoneMsg {
   ViewId new_viewid;
   View new_view;
 
-  void Encode(wire::Writer& w) const {
-    aid.Encode(w);
-    w.U64(from_group);
-    w.Bool(wrong_primary);
-    w.Bool(view_known);
-    new_viewid.Encode(w);
-    new_view.Encode(w);
+  static auto Fields(auto& m) {
+    return std::tie(m.aid, m.from_group, m.wrong_primary, m.view_known,
+                    m.new_viewid, m.new_view);
   }
+  void Encode(wire::Writer& w) const { w.Put(*this); }
   static CommitDoneMsg Decode(wire::Reader& r) {
-    CommitDoneMsg m;
-    m.aid = Aid::Decode(r);
-    m.from_group = r.U64();
-    m.wrong_primary = r.Bool();
-    m.view_known = r.Bool();
-    m.new_viewid = ViewId::Decode(r);
-    m.new_view = View::Decode(r);
-    return m;
+    return r.Get<CommitDoneMsg>();
   }
 };
 
 struct AbortMsg {
   static constexpr MsgType kType = MsgType::kAbort;
+  static constexpr const char* kName = "abort";
   GroupId group = 0;
   Aid aid;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    aid.Encode(w);
-  }
-  static AbortMsg Decode(wire::Reader& r) {
-    AbortMsg m;
-    m.group = r.U64();
-    m.aid = Aid::Decode(r);
-    return m;
-  }
+  static auto Fields(auto& m) { return std::tie(m.group, m.aid); }
+  void Encode(wire::Writer& w) const { w.Put(*this); }
+  static AbortMsg Decode(wire::Reader& r) { return r.Get<AbortMsg>(); }
 };
 
 struct AbortSubMsg {
   static constexpr MsgType kType = MsgType::kAbortSub;
+  static constexpr const char* kName = "abort-sub";
   GroupId group = 0;
   SubAid sub_aid;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    sub_aid.Encode(w);
-  }
-  static AbortSubMsg Decode(wire::Reader& r) {
-    AbortSubMsg m;
-    m.group = r.U64();
-    m.sub_aid = SubAid::Decode(r);
-    return m;
-  }
+  static auto Fields(auto& m) { return std::tie(m.group, m.sub_aid); }
+  void Encode(wire::Writer& w) const { w.Put(*this); }
+  static AbortSubMsg Decode(wire::Reader& r) { return r.Get<AbortSubMsg>(); }
 };
 
 // ---------------------------------------------------------------------------
@@ -657,43 +496,32 @@ enum class TxnOutcome : std::uint8_t {
   kCommitted = 2,
   kAborted = 3,
 };
+constexpr TxnOutcome WireMax(TxnOutcome) { return TxnOutcome::kAborted; }
 
 struct QueryMsg {
   static constexpr MsgType kType = MsgType::kQuery;
+  static constexpr const char* kName = "query";
   Aid aid;
   Mid reply_to = 0;
   GroupId reply_group = 0;
 
-  void Encode(wire::Writer& w) const {
-    aid.Encode(w);
-    w.U32(reply_to);
-    w.U64(reply_group);
+  static auto Fields(auto& m) {
+    return std::tie(m.aid, m.reply_to, m.reply_group);
   }
-  static QueryMsg Decode(wire::Reader& r) {
-    QueryMsg m;
-    m.aid = Aid::Decode(r);
-    m.reply_to = r.U32();
-    m.reply_group = r.U64();
-    return m;
-  }
+  void Encode(wire::Writer& w) const { w.Put(*this); }
+  static QueryMsg Decode(wire::Reader& r) { return r.Get<QueryMsg>(); }
 };
 
 struct QueryReplyMsg {
   static constexpr MsgType kType = MsgType::kQueryReply;
+  static constexpr const char* kName = "query-reply";
   Aid aid;
   TxnOutcome outcome = TxnOutcome::kUnknown;
 
-  void Encode(wire::Writer& w) const {
-    aid.Encode(w);
-    w.U8(static_cast<std::uint8_t>(outcome));
-  }
+  static auto Fields(auto& m) { return std::tie(m.aid, m.outcome); }
+  void Encode(wire::Writer& w) const { w.Put(*this); }
   static QueryReplyMsg Decode(wire::Reader& r) {
-    QueryReplyMsg m;
-    m.aid = Aid::Decode(r);
-    std::uint8_t o = r.U8();
-    if (o > 3) r.MarkBad();
-    m.outcome = static_cast<TxnOutcome>(o);
-    return m;
+    return r.Get<QueryReplyMsg>();
   }
 };
 
@@ -703,26 +531,21 @@ struct QueryReplyMsg {
 
 struct ProbeMsg {
   static constexpr MsgType kType = MsgType::kProbe;
+  static constexpr const char* kName = "probe";
   GroupId group = 0;
   std::uint64_t req_id = 0;
   Mid reply_to = 0;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    w.U64(req_id);
-    w.U32(reply_to);
+  static auto Fields(auto& m) {
+    return std::tie(m.group, m.req_id, m.reply_to);
   }
-  static ProbeMsg Decode(wire::Reader& r) {
-    ProbeMsg m;
-    m.group = r.U64();
-    m.req_id = r.U64();
-    m.reply_to = r.U32();
-    return m;
-  }
+  void Encode(wire::Writer& w) const { w.Put(*this); }
+  static ProbeMsg Decode(wire::Reader& r) { return r.Get<ProbeMsg>(); }
 };
 
 struct ProbeReplyMsg {
   static constexpr MsgType kType = MsgType::kProbeReply;
+  static constexpr const char* kName = "probe-reply";
   GroupId group = 0;
   std::uint64_t req_id = 0;
   bool known = false;   // the replying cohort knows a current view
@@ -730,23 +553,12 @@ struct ProbeReplyMsg {
   ViewId viewid;
   View view;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    w.U64(req_id);
-    w.Bool(known);
-    w.Bool(active);
-    viewid.Encode(w);
-    view.Encode(w);
+  static auto Fields(auto& m) {
+    return std::tie(m.group, m.req_id, m.known, m.active, m.viewid, m.view);
   }
+  void Encode(wire::Writer& w) const { w.Put(*this); }
   static ProbeReplyMsg Decode(wire::Reader& r) {
-    ProbeReplyMsg m;
-    m.group = r.U64();
-    m.req_id = r.U64();
-    m.known = r.Bool();
-    m.active = r.Bool();
-    m.viewid = ViewId::Decode(r);
-    m.view = View::Decode(r);
-    return m;
+    return r.Get<ProbeReplyMsg>();
   }
 };
 
@@ -756,29 +568,22 @@ struct ProbeReplyMsg {
 
 struct BeginTxnMsg {
   static constexpr MsgType kType = MsgType::kBeginTxn;
+  static constexpr const char* kName = "begin-txn";
   GroupId group = 0;
   ViewId viewid;
   std::uint64_t req_id = 0;
   Mid reply_to = 0;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    viewid.Encode(w);
-    w.U64(req_id);
-    w.U32(reply_to);
+  static auto Fields(auto& m) {
+    return std::tie(m.group, m.viewid, m.req_id, m.reply_to);
   }
-  static BeginTxnMsg Decode(wire::Reader& r) {
-    BeginTxnMsg m;
-    m.group = r.U64();
-    m.viewid = ViewId::Decode(r);
-    m.req_id = r.U64();
-    m.reply_to = r.U32();
-    return m;
-  }
+  void Encode(wire::Writer& w) const { w.Put(*this); }
+  static BeginTxnMsg Decode(wire::Reader& r) { return r.Get<BeginTxnMsg>(); }
 };
 
 struct BeginTxnReplyMsg {
   static constexpr MsgType kType = MsgType::kBeginTxnReply;
+  static constexpr const char* kName = "begin-txn-reply";
   std::uint64_t req_id = 0;
   ReplyStatus status = ReplyStatus::kOk;
   Aid aid;
@@ -786,30 +591,19 @@ struct BeginTxnReplyMsg {
   ViewId new_viewid;
   View new_view;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(req_id);
-    w.U8(static_cast<std::uint8_t>(status));
-    aid.Encode(w);
-    w.Bool(view_known);
-    new_viewid.Encode(w);
-    new_view.Encode(w);
+  static auto Fields(auto& m) {
+    return std::tie(m.req_id, m.status, m.aid, m.view_known, m.new_viewid,
+                    m.new_view);
   }
+  void Encode(wire::Writer& w) const { w.Put(*this); }
   static BeginTxnReplyMsg Decode(wire::Reader& r) {
-    BeginTxnReplyMsg m;
-    m.req_id = r.U64();
-    std::uint8_t s = r.U8();
-    if (s > 2) r.MarkBad();
-    m.status = static_cast<ReplyStatus>(s);
-    m.aid = Aid::Decode(r);
-    m.view_known = r.Bool();
-    m.new_viewid = ViewId::Decode(r);
-    m.new_view = View::Decode(r);
-    return m;
+    return r.Get<BeginTxnReplyMsg>();
   }
 };
 
 struct CommitReqMsg {
   static constexpr MsgType kType = MsgType::kCommitReq;
+  static constexpr const char* kName = "commit-req";
   GroupId group = 0;
   ViewId viewid;
   std::uint64_t req_id = 0;
@@ -817,63 +611,36 @@ struct CommitReqMsg {
   Pset pset;
   Mid reply_to = 0;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    viewid.Encode(w);
-    w.U64(req_id);
-    aid.Encode(w);
-    w.Vector(pset, [&](const PsetEntry& e) { e.Encode(w); });
-    w.U32(reply_to);
+  static auto Fields(auto& m) {
+    return std::tie(m.group, m.viewid, m.req_id, m.aid, m.pset, m.reply_to);
   }
-  static CommitReqMsg Decode(wire::Reader& r) {
-    CommitReqMsg m;
-    m.group = r.U64();
-    m.viewid = ViewId::Decode(r);
-    m.req_id = r.U64();
-    m.aid = Aid::Decode(r);
-    m.pset = r.Vector<PsetEntry>([&] { return PsetEntry::Decode(r); });
-    m.reply_to = r.U32();
-    return m;
-  }
+  void Encode(wire::Writer& w) const { w.Put(*this); }
+  static CommitReqMsg Decode(wire::Reader& r) { return r.Get<CommitReqMsg>(); }
 };
 
 struct CommitReqReplyMsg {
   static constexpr MsgType kType = MsgType::kCommitReqReply;
+  static constexpr const char* kName = "commit-req-reply";
   std::uint64_t req_id = 0;
   TxnOutcome outcome = TxnOutcome::kUnknown;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(req_id);
-    w.U8(static_cast<std::uint8_t>(outcome));
-  }
+  static auto Fields(auto& m) { return std::tie(m.req_id, m.outcome); }
+  void Encode(wire::Writer& w) const { w.Put(*this); }
   static CommitReqReplyMsg Decode(wire::Reader& r) {
-    CommitReqReplyMsg m;
-    m.req_id = r.U64();
-    std::uint8_t o = r.U8();
-    if (o > 3) r.MarkBad();
-    m.outcome = static_cast<TxnOutcome>(o);
-    return m;
+    return r.Get<CommitReqReplyMsg>();
   }
 };
 
 struct AbortReqMsg {
   static constexpr MsgType kType = MsgType::kAbortReq;
+  static constexpr const char* kName = "abort-req";
   GroupId group = 0;
   Aid aid;
   Pset pset;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    aid.Encode(w);
-    w.Vector(pset, [&](const PsetEntry& e) { e.Encode(w); });
-  }
-  static AbortReqMsg Decode(wire::Reader& r) {
-    AbortReqMsg m;
-    m.group = r.U64();
-    m.aid = Aid::Decode(r);
-    m.pset = r.Vector<PsetEntry>([&] { return PsetEntry::Decode(r); });
-    return m;
-  }
+  static auto Fields(auto& m) { return std::tie(m.group, m.aid, m.pset); }
+  void Encode(wire::Writer& w) const { w.Put(*this); }
+  static AbortReqMsg Decode(wire::Reader& r) { return r.Get<AbortReqMsg>(); }
 };
 
 // ---------------------------------------------------------------------------
@@ -887,28 +654,18 @@ struct AbortReqMsg {
 // that group field.
 struct ShardPullMsg {
   static constexpr MsgType kType = MsgType::kShardPull;
+  static constexpr const char* kName = "shard-pull";
   GroupId group = 0;       // destination: the range's current owner
   Mid from = 0;            // the pulling primary's mid (chunk destination)
   GroupId from_group = 0;  // the pulling group
   std::string lo;
   std::string hi;  // "" = +infinity
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    w.U32(from);
-    w.U64(from_group);
-    w.String(lo);
-    w.String(hi);
+  static auto Fields(auto& m) {
+    return std::tie(m.group, m.from, m.from_group, m.lo, m.hi);
   }
-  static ShardPullMsg Decode(wire::Reader& r) {
-    ShardPullMsg m;
-    m.group = r.U64();
-    m.from = r.U32();
-    m.from_group = r.U64();
-    m.lo = r.String();
-    m.hi = r.String();
-    return m;
-  }
+  void Encode(wire::Writer& w) const { w.Put(*this); }
+  static ShardPullMsg Decode(wire::Reader& r) { return r.Get<ShardPullMsg>(); }
 };
 
 // ---------------------------------------------------------------------------
@@ -924,6 +681,7 @@ struct ShardPullMsg {
 // min(applied_ts, lease stable_ts)).
 struct LeaseGrantMsg {
   static constexpr MsgType kType = MsgType::kLeaseGrant;
+  static constexpr const char* kName = "lease-grant";
   GroupId group = 0;
   // The view this lease pins. A backup discards grants for any view other
   // than the one it is actively serving.
@@ -938,23 +696,12 @@ struct LeaseGrantMsg {
   // lengthens) the usable window relative to the primary's intent.
   std::uint64_t duration = 0;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    viewid.Encode(w);
-    w.U32(from);
-    w.U64(seq);
-    w.U64(stable_ts);
-    w.U64(duration);
+  static auto Fields(auto& m) {
+    return std::tie(m.group, m.viewid, m.from, m.seq, m.stable_ts, m.duration);
   }
+  void Encode(wire::Writer& w) const { w.Put(*this); }
   static LeaseGrantMsg Decode(wire::Reader& r) {
-    LeaseGrantMsg m;
-    m.group = r.U64();
-    m.viewid = ViewId::Decode(r);
-    m.from = r.U32();
-    m.seq = r.U64();
-    m.stable_ts = r.U64();
-    m.duration = r.U64();
-    return m;
+    return r.Get<LeaseGrantMsg>();
   }
 };
 
@@ -964,27 +711,19 @@ struct LeaseGrantMsg {
 // state older than it (monotonic sessions; DESIGN.md §14).
 struct BackupReadMsg {
   static constexpr MsgType kType = MsgType::kBackupRead;
+  static constexpr const char* kName = "backup-read";
   GroupId group = 0;
   std::string uid;
   Viewstamp horizon;
   std::uint64_t corr = 0;  // client correlation id, echoed in the reply
   Mid reply_to = 0;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(group);
-    w.String(uid);
-    horizon.Encode(w);
-    w.U64(corr);
-    w.U32(reply_to);
+  static auto Fields(auto& m) {
+    return std::tie(m.group, m.uid, m.horizon, m.corr, m.reply_to);
   }
+  void Encode(wire::Writer& w) const { w.Put(*this); }
   static BackupReadMsg Decode(wire::Reader& r) {
-    BackupReadMsg m;
-    m.group = r.U64();
-    m.uid = r.String();
-    m.horizon = Viewstamp::Decode(r);
-    m.corr = r.U64();
-    m.reply_to = r.U32();
-    return m;
+    return r.Get<BackupReadMsg>();
   }
 };
 
@@ -1001,9 +740,11 @@ enum class ReadStatus : std::uint8_t {
   // renewal — so retry at the primary WITHOUT writing the member off.
   kTooNew = 3,
 };
+constexpr ReadStatus WireMax(ReadStatus) { return ReadStatus::kTooNew; }
 
 struct BackupReadReplyMsg {
   static constexpr MsgType kType = MsgType::kBackupReadReply;
+  static constexpr const char* kName = "backup-read-reply";
   std::uint64_t corr = 0;
   ReadStatus status = ReadStatus::kWrongLease;
   std::vector<std::uint8_t> value;
@@ -1012,25 +753,50 @@ struct BackupReadReplyMsg {
   Viewstamp served_vs;
   Mid primary_hint = 0;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(corr);
-    w.U8(static_cast<std::uint8_t>(status));
-    w.Bytes(value);
-    served_vs.Encode(w);
-    w.U32(primary_hint);
+  static auto Fields(auto& m) {
+    return std::tie(m.corr, m.status, m.value, m.served_vs, m.primary_hint);
   }
+  void Encode(wire::Writer& w) const { w.Put(*this); }
   static BackupReadReplyMsg Decode(wire::Reader& r) {
-    BackupReadReplyMsg m;
-    m.corr = r.U64();
-    std::uint8_t s = r.U8();
-    if (s > 3) r.MarkBad();
-    m.status = static_cast<ReadStatus>(s);
-    m.value = r.Bytes();
-    m.served_vs = Viewstamp::Decode(r);
-    m.primary_hint = r.U32();
-    return m;
+    return r.Get<BackupReadReplyMsg>();
   }
 };
+
+// Every message type, in MsgType order: the one list MsgTypeName and the
+// decode-coverage tests are driven from.
+template <typename... M>
+struct MessageList {
+  // Calls fn.template operator()<M>() for each message type in order.
+  template <typename Fn>
+  static void ForEach(Fn&& fn) {
+    (fn.template operator()<M>(), ...);
+  }
+  static constexpr std::size_t kSize = sizeof...(M);
+  static constexpr bool InTypeOrder() {
+    const MsgType types[] = {M::kType...};
+    for (std::size_t i = 1; i < kSize; ++i) {
+      if (!(types[i - 1] < types[i])) return false;
+    }
+    return types[kSize - 1] == MsgType::kBackupReadReply;
+  }
+};
+
+using Messages =
+    MessageList<PingMsg, InviteMsg, AcceptMsg, InitViewMsg, BufferBatchMsg,
+                BufferAckMsg, SnapshotChunkMsg, SnapshotAckMsg, CallMsg,
+                ReplyMsg, PrepareMsg, PrepareReplyMsg, CommitMsg,
+                CommitDoneMsg, AbortMsg, AbortSubMsg, QueryMsg, QueryReplyMsg,
+                ProbeMsg, ProbeReplyMsg, BeginTxnMsg, BeginTxnReplyMsg,
+                CommitReqMsg, CommitReqReplyMsg, AbortReqMsg, ShardPullMsg,
+                LeaseGrantMsg, BackupReadMsg, BackupReadReplyMsg>;
+
+// One entry per MsgType value: 29 values, listed in increasing order up to
+// the largest.
+static_assert(Messages::kSize == 29 && Messages::InTypeOrder(),
+              "Messages must list every MsgType exactly once, in order");
+
+// The message name for `t` (metrics keys, traces); "?" for an unknown type.
+const char* MsgTypeName(MsgType t);
 
 // Serializes a message into a frame payload.
 template <typename M>

@@ -20,9 +20,8 @@
 #include <compare>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
-
-#include "wire/buffer.h"
 
 namespace vsr::vr {
 
@@ -35,16 +34,7 @@ struct ViewId {
 
   auto operator<=>(const ViewId&) const = default;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(counter);
-    w.U32(mid);
-  }
-  static ViewId Decode(wire::Reader& r) {
-    ViewId v;
-    v.counter = r.U64();
-    v.mid = r.U32();
-    return v;
-  }
+  static auto Fields(auto& v) { return std::tie(v.counter, v.mid); }
   std::string ToString() const {
     return "v" + std::to_string(counter) + "." + std::to_string(mid);
   }
@@ -60,16 +50,7 @@ struct Viewstamp {
   // lexicographic max the most-informed cohort).
   auto operator<=>(const Viewstamp&) const = default;
 
-  void Encode(wire::Writer& w) const {
-    view.Encode(w);
-    w.U64(ts);
-  }
-  static Viewstamp Decode(wire::Reader& r) {
-    Viewstamp v;
-    v.view = ViewId::Decode(r);
-    v.ts = r.U64();
-    return v;
-  }
+  static auto Fields(auto& v) { return std::tie(v.view, v.ts); }
   std::string ToString() const {
     return view.ToString() + ":" + std::to_string(ts);
   }
@@ -92,16 +73,7 @@ struct View {
 
   bool operator==(const View&) const = default;
 
-  void Encode(wire::Writer& w) const {
-    w.U32(primary);
-    w.Vector(backups, [&](Mid m) { w.U32(m); });
-  }
-  static View Decode(wire::Reader& r) {
-    View v;
-    v.primary = r.U32();
-    v.backups = r.Vector<Mid>([&] { return r.U32(); });
-    return v;
-  }
+  static auto Fields(auto& v) { return std::tie(v.primary, v.backups); }
   std::string ToString() const {
     std::string s = "{p=" + std::to_string(primary) + " b=[";
     for (std::size_t i = 0; i < backups.size(); ++i) {
@@ -126,17 +98,8 @@ struct Aid {
 
   auto operator<=>(const Aid&) const = default;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(coordinator_group);
-    view.Encode(w);
-    w.U64(seq);
-  }
-  static Aid Decode(wire::Reader& r) {
-    Aid a;
-    a.coordinator_group = r.U64();
-    a.view = ViewId::Decode(r);
-    a.seq = r.U64();
-    return a;
+  static auto Fields(auto& a) {
+    return std::tie(a.coordinator_group, a.view, a.seq);
   }
   std::string ToString() const {
     return "t" + std::to_string(coordinator_group) + "/" + view.ToString() +
@@ -152,16 +115,7 @@ struct SubAid {
 
   auto operator<=>(const SubAid&) const = default;
 
-  void Encode(wire::Writer& w) const {
-    aid.Encode(w);
-    w.U32(sub);
-  }
-  static SubAid Decode(wire::Reader& r) {
-    SubAid s;
-    s.aid = Aid::Decode(r);
-    s.sub = r.U32();
-    return s;
-  }
+  static auto Fields(auto& s) { return std::tie(s.aid, s.sub); }
   std::string ToString() const {
     return aid.ToString() + "#" + std::to_string(sub);
   }
@@ -176,18 +130,7 @@ struct PsetEntry {
 
   auto operator<=>(const PsetEntry&) const = default;
 
-  void Encode(wire::Writer& w) const {
-    w.U64(groupid);
-    vs.Encode(w);
-    w.U32(sub);
-  }
-  static PsetEntry Decode(wire::Reader& r) {
-    PsetEntry e;
-    e.groupid = r.U64();
-    e.vs = Viewstamp::Decode(r);
-    e.sub = r.U32();
-    return e;
-  }
+  static auto Fields(auto& e) { return std::tie(e.groupid, e.vs, e.sub); }
 };
 
 using Pset = std::vector<PsetEntry>;

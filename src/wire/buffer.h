@@ -1,4 +1,4 @@
-// Byte-oriented serialization primitives.
+// Byte-oriented serialization primitives and the layout-driven codec.
 //
 // All integers are encoded little-endian at fixed width; variable-length
 // fields (bytes, strings, vectors) carry a u32 length prefix. Reader uses a
@@ -6,16 +6,43 @@
 // read marks the reader bad and yields zero values, and the caller checks
 // ok() once after decoding a whole message. This keeps decode paths branch-
 // light and makes truncated/corrupt messages safe to feed in fuzz tests.
+//
+// A struct states its layout once (DESIGN.md §8), as a static member that
+// ties its fields in wire order:
+//
+//   static auto Fields(auto& m) { return std::tie(m.group, m.from); }
+//
+// Writer::Put and Reader::Get walk that list, dispatching on field type:
+//   bool, fixed-width integers    little-endian, fixed width
+//   enums                         the underlying integer; Get rejects a value
+//                                 above WireMax(E{}), declared beside E
+//   std::string, vector<u8>       u32 length, then the bytes in one copy
+//   std::vector<T>                u32 count, then the elements
+//   std::optional<T>              bool, then the value when present
+//   std::set<T>, std::map<K, V>   u32 count, then the elements (key, value)
+//   any other struct              its own Fields, in order
 #pragma once
 
 #include <cstdint>
 #include <cstring>
+#include <map>
+#include <optional>
+#include <set>
 #include <span>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace vsr::wire {
+
+// True when T is an instantiation of the class template C.
+template <typename T, template <typename...> class C>
+inline constexpr bool kIsA = false;
+template <template <typename...> class C, typename... A>
+inline constexpr bool kIsA<C<A...>, C> = true;
 
 class Writer {
  public:
@@ -52,6 +79,35 @@ class Writer {
   void Vector(const std::vector<T>& v, Fn&& encode_element) {
     U32(static_cast<std::uint32_t>(v.size()));
     for (const T& e : v) encode_element(e);
+  }
+
+  // Encodes `v` by its type (see the table at the top of this file).
+  template <typename T>
+  void Put(const T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      Bool(v);
+    } else if constexpr (std::is_enum_v<T>) {
+      Put(static_cast<std::underlying_type_t<T>>(v));
+    } else if constexpr (std::is_integral_v<T>) {
+      AppendLe(static_cast<std::make_unsigned_t<T>>(v));
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      String(v);
+    } else if constexpr (std::is_same_v<T, std::vector<std::uint8_t>>) {
+      Bytes(v);
+    } else if constexpr (kIsA<T, std::vector>) {
+      Vector(v, [&](const auto& e) { Put(e); });
+    } else if constexpr (kIsA<T, std::optional>) {
+      Bool(v.has_value());
+      if (v) Put(*v);
+    } else if constexpr (kIsA<T, std::set> || kIsA<T, std::map>) {
+      U32(static_cast<std::uint32_t>(v.size()));
+      for (const auto& e : v) Put(e);
+    } else if constexpr (kIsA<T, std::pair>) {
+      Put(v.first);
+      Put(v.second);
+    } else {
+      std::apply([&](const auto&... f) { (Put(f), ...); }, T::Fields(v));
+    }
   }
 
   std::size_t size() const { return buf_.size(); }
@@ -112,19 +168,61 @@ class Reader {
   // Decodes a vector via a per-element decoder returning T.
   template <typename T, typename Fn>
   std::vector<T> Vector(Fn&& decode_element) {
-    std::uint32_t n = U32();
+    const std::uint32_t n = Count();
     std::vector<T> out;
-    // A corrupt length prefix must not cause a huge reserve: each element is
-    // at least one byte, so cap by remaining input.
-    if (!ok_ || n > Remaining() + 1) {
-      ok_ = false;
-      return out;
-    }
     out.reserve(n);
     for (std::uint32_t i = 0; i < n && ok_; ++i) {
       out.push_back(decode_element());
     }
     return out;
+  }
+
+  // Decodes a T laid out as Writer::Put writes it.
+  template <typename T>
+  T Get() {
+    T v{};
+    Read(v);
+    return v;
+  }
+
+  // Get in place: overwrites `v`, replacing any container contents.
+  template <typename T>
+  void Read(T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      v = Bool();
+    } else if constexpr (std::is_enum_v<T>) {
+      using U = std::underlying_type_t<T>;
+      const U raw = Get<U>();
+      if (raw > static_cast<U>(WireMax(T{}))) MarkBad();
+      v = static_cast<T>(raw);
+    } else if constexpr (std::is_integral_v<T>) {
+      v = static_cast<T>(ReadLe<std::make_unsigned_t<T>>());
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      v = String();
+    } else if constexpr (std::is_same_v<T, std::vector<std::uint8_t>>) {
+      v = Bytes();
+    } else if constexpr (kIsA<T, std::vector>) {
+      using E = typename T::value_type;
+      v = Vector<E>([&] { return Get<E>(); });
+    } else if constexpr (kIsA<T, std::optional>) {
+      v.reset();
+      if (Bool()) v = Get<typename T::value_type>();
+    } else if constexpr (kIsA<T, std::set>) {
+      v.clear();
+      const std::uint32_t n = Count();
+      for (std::uint32_t i = 0; i < n && ok_; ++i) {
+        v.insert(Get<typename T::value_type>());
+      }
+    } else if constexpr (kIsA<T, std::map>) {
+      v.clear();
+      const std::uint32_t n = Count();
+      for (std::uint32_t i = 0; i < n && ok_; ++i) {
+        typename T::key_type key = Get<typename T::key_type>();
+        Read(v[std::move(key)]);
+      }
+    } else {
+      std::apply([&](auto&... f) { (Read(f), ...); }, T::Fields(v));
+    }
   }
 
   bool ok() const { return ok_; }
@@ -136,6 +234,17 @@ class Reader {
   void MarkBad() { ok_ = false; }
 
  private:
+  // An element count. A corrupt count must not cause a huge reserve or a
+  // long loop: each element is at least one byte, so cap by remaining input.
+  std::uint32_t Count() {
+    const std::uint32_t n = U32();
+    if (!ok_ || n > Remaining() + 1) {
+      ok_ = false;
+      return 0;
+    }
+    return n;
+  }
+
   bool CheckRemaining(std::size_t n) {
     if (!ok_ || Remaining() < n) {
       ok_ = false;
@@ -159,6 +268,14 @@ class Reader {
   std::size_t pos_ = 0;
   bool ok_ = true;
 };
+
+// Encodes `v` (see Writer::Put) into a fresh buffer.
+template <typename T>
+std::vector<std::uint8_t> ToBytes(const T& v) {
+  Writer w;
+  w.Put(v);
+  return w.Take();
+}
 
 // CRC-32 (IEEE 802.3 polynomial) used to checksum network frames.
 std::uint32_t Crc32(std::span<const std::uint8_t> data);

@@ -1,4 +1,4 @@
-#include "sim/task.h"
+#include "host/task.h"
 #include "workload/airline.h"
 
 namespace vsr::workload {
@@ -19,14 +19,14 @@ std::pair<std::string, long long> Split(const std::string& args) {
 void RegisterAirlineProcs(client::Cluster& cluster, vr::GroupId group) {
   cluster.RegisterProc(
       group, "add_flight",
-      [](core::ProcContext& ctx) -> sim::Task<std::vector<std::uint8_t>> {
+      [](core::ProcContext& ctx) -> host::Task<std::vector<std::uint8_t>> {
         auto [flight, seats] = Split(ctx.ArgsAsString());
         co_await ctx.Write(flight, std::to_string(seats));
         co_return Bytes("ok");
       });
   cluster.RegisterProc(
       group, "reserve",
-      [](core::ProcContext& ctx) -> sim::Task<std::vector<std::uint8_t>> {
+      [](core::ProcContext& ctx) -> host::Task<std::vector<std::uint8_t>> {
         auto [flight, n] = Split(ctx.ArgsAsString());
         auto v = co_await ctx.ReadForUpdate(flight);
         if (!v) throw core::TxnError("unknown flight " + flight);
@@ -37,7 +37,7 @@ void RegisterAirlineProcs(client::Cluster& cluster, vr::GroupId group) {
       });
   cluster.RegisterProc(
       group, "release",
-      [](core::ProcContext& ctx) -> sim::Task<std::vector<std::uint8_t>> {
+      [](core::ProcContext& ctx) -> host::Task<std::vector<std::uint8_t>> {
         auto [flight, n] = Split(ctx.ArgsAsString());
         auto v = co_await ctx.ReadForUpdate(flight);
         const long long left = v && !v->empty() ? std::stoll(*v) : 0;
@@ -46,14 +46,14 @@ void RegisterAirlineProcs(client::Cluster& cluster, vr::GroupId group) {
       });
   cluster.RegisterProc(
       group, "seats",
-      [](core::ProcContext& ctx) -> sim::Task<std::vector<std::uint8_t>> {
+      [](core::ProcContext& ctx) -> host::Task<std::vector<std::uint8_t>> {
         auto v = co_await ctx.Read(ctx.ArgsAsString());
         co_return Bytes(v.value_or("0"));
       });
 }
 
 core::TxnBody MakeBookingTxn(std::vector<ItineraryLeg> legs) {
-  return [legs = std::move(legs)](core::TxnHandle& h) -> sim::Task<bool> {
+  return [legs = std::move(legs)](core::TxnHandle& h) -> host::Task<bool> {
     for (const ItineraryLeg& leg : legs) {
       co_await h.Call(leg.region, "reserve",
                       leg.flight + "=" + std::to_string(leg.seats));

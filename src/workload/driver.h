@@ -15,7 +15,7 @@ struct DriverOptions {
   int total_txns = 100;
   int max_inflight = 4;
   // Give up if this much simulated time passes without finishing.
-  sim::Duration deadline = 120 * sim::kSecond;
+  host::Duration deadline = 120 * host::kSecond;
   // Retry transactions that abort (fresh transaction, same body factory
   // index) up to this many times — how a real application reacts to the
   // paper's abort-on-uncertainty rule.
@@ -44,11 +44,11 @@ class ClosedLoopDriver {
   // Runs to completion (or deadline). Returns true if all transactions
   // resolved.
   bool Run() {
-    const sim::Time deadline = cluster_.sim().Now() + options_.deadline;
+    const host::Time deadline = cluster_.sim().Now() + options_.deadline;
     while (resolved_ < options_.total_txns &&
            cluster_.sim().Now() < deadline) {
       PumpNew();
-      cluster_.RunFor(5 * sim::kMillisecond);
+      cluster_.RunFor(5 * host::kMillisecond);
     }
     return resolved_ >= options_.total_txns;
   }
@@ -74,7 +74,7 @@ class ClosedLoopDriver {
 
   void Launch(std::uint64_t i, int retries_left, core::Cohort* primary) {
     ++inflight_;
-    const sim::Time start = cluster_.sim().Now();
+    const host::Time start = cluster_.sim().Now();
     primary->SpawnTransaction(
         make_body_(i), [this, i, retries_left, start](vr::TxnOutcome o) {
           --inflight_;

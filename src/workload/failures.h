@@ -14,32 +14,32 @@ struct FailureEvent {
   // when enabled, replays); kRecoverDiskless models a disk replacement —
   // the log is erased first and the cohort comes back amnesiac.
   enum class Kind { kCrash, kRecover, kRecoverDiskless, kPartition, kHeal } kind;
-  sim::Time at = 0;
+  host::Time at = 0;
   // kCrash / kRecover
   vr::GroupId group = 0;
   std::size_t index = 0;
   // kPartition
   std::vector<std::vector<net::NodeId>> sides;
 
-  static FailureEvent Crash(sim::Time at, vr::GroupId g, std::size_t idx) {
+  static FailureEvent Crash(host::Time at, vr::GroupId g, std::size_t idx) {
     FailureEvent e{Kind::kCrash, at, g, idx, {}};
     return e;
   }
-  static FailureEvent Recover(sim::Time at, vr::GroupId g, std::size_t idx) {
+  static FailureEvent Recover(host::Time at, vr::GroupId g, std::size_t idx) {
     FailureEvent e{Kind::kRecover, at, g, idx, {}};
     return e;
   }
-  static FailureEvent RecoverDiskless(sim::Time at, vr::GroupId g,
+  static FailureEvent RecoverDiskless(host::Time at, vr::GroupId g,
                                       std::size_t idx) {
     FailureEvent e{Kind::kRecoverDiskless, at, g, idx, {}};
     return e;
   }
-  static FailureEvent Partition(sim::Time at,
+  static FailureEvent Partition(host::Time at,
                                 std::vector<std::vector<net::NodeId>> sides) {
     FailureEvent e{Kind::kPartition, at, 0, 0, std::move(sides)};
     return e;
   }
-  static FailureEvent Heal(sim::Time at) {
+  static FailureEvent Heal(host::Time at) {
     FailureEvent e{Kind::kHeal, at, 0, 0, {}};
     return e;
   }
@@ -74,15 +74,15 @@ inline void ArmFailureSchedule(client::Cluster& cluster,
 // Generates a random crash/recover schedule for one group: each cohort
 // independently fails with MTTF/MTTR drawn from exponentials. Used by E7.
 inline std::vector<FailureEvent> RandomCrashSchedule(
-    sim::Rng& rng, vr::GroupId group, std::size_t replicas, sim::Time horizon,
+    sim::Rng& rng, vr::GroupId group, std::size_t replicas, host::Time horizon,
     double mttf_seconds, double mttr_seconds) {
   std::vector<FailureEvent> out;
   for (std::size_t i = 0; i < replicas; ++i) {
-    sim::Time t = 0;
+    host::Time t = 0;
     bool up = true;
     while (true) {
       const double mean = up ? mttf_seconds : mttr_seconds;
-      t += rng.Exponential(mean * sim::kSecond);
+      t += rng.Exponential(mean * host::kSecond);
       if (t >= horizon) break;
       out.push_back(up ? FailureEvent::Crash(t, group, i)
                        : FailureEvent::Recover(t, group, i));
@@ -97,7 +97,7 @@ inline std::vector<FailureEvent> RandomCrashSchedule(
 inline std::vector<FailureEvent> RandomMultiGroupCrashSchedule(
     sim::Rng& rng,
     const std::vector<std::pair<vr::GroupId, std::size_t>>& groups,
-    sim::Time horizon, double mttf_seconds, double mttr_seconds) {
+    host::Time horizon, double mttf_seconds, double mttr_seconds) {
   std::vector<FailureEvent> out;
   for (const auto& [g, replicas] : groups) {
     auto one = RandomCrashSchedule(rng, g, replicas, horizon, mttf_seconds,
@@ -112,10 +112,10 @@ inline std::vector<FailureEvent> RandomMultiGroupCrashSchedule(
 // catastrophe drill aimed at a sharded deployment.
 inline std::vector<FailureEvent> WholeClusterOutage(
     const std::vector<std::pair<vr::GroupId, std::size_t>>& groups,
-    sim::Time at, sim::Duration outage,
-    sim::Duration stagger = 20 * sim::kMillisecond) {
+    host::Time at, host::Duration outage,
+    host::Duration stagger = 20 * host::kMillisecond) {
   std::vector<FailureEvent> out;
-  sim::Duration skew = 0;
+  host::Duration skew = 0;
   for (const auto& [g, replicas] : groups) {
     for (std::size_t i = 0; i < replicas; ++i) {
       out.push_back(FailureEvent::Crash(at, g, i));

@@ -1,4 +1,4 @@
-#include "sim/task.h"
+#include "host/task.h"
 #include "workload/sharded_bank.h"
 
 #include <cstdio>
@@ -51,7 +51,7 @@ void RegisterShardedBankProcs(client::Cluster& cluster, vr::GroupId group) {
   core::Directory& dir = cluster.directory();
   cluster.RegisterProc(
       group, "open",
-      [&dir](core::ProcContext& ctx) -> sim::Task<std::vector<std::uint8_t>> {
+      [&dir](core::ProcContext& ctx) -> host::Task<std::vector<std::uint8_t>> {
         auto [acct, amount] = SplitAmount(ctx.ArgsAsString());
         CheckOwnership(dir, ctx, acct);
         co_await ctx.Write(acct, std::to_string(amount));
@@ -59,7 +59,7 @@ void RegisterShardedBankProcs(client::Cluster& cluster, vr::GroupId group) {
       });
   cluster.RegisterProc(
       group, "deposit",
-      [&dir](core::ProcContext& ctx) -> sim::Task<std::vector<std::uint8_t>> {
+      [&dir](core::ProcContext& ctx) -> host::Task<std::vector<std::uint8_t>> {
         auto [acct, amount] = SplitAmount(ctx.ArgsAsString());
         CheckOwnership(dir, ctx, acct);
         auto v = co_await ctx.ReadForUpdate(acct);
@@ -69,7 +69,7 @@ void RegisterShardedBankProcs(client::Cluster& cluster, vr::GroupId group) {
       });
   cluster.RegisterProc(
       group, "withdraw",
-      [&dir](core::ProcContext& ctx) -> sim::Task<std::vector<std::uint8_t>> {
+      [&dir](core::ProcContext& ctx) -> host::Task<std::vector<std::uint8_t>> {
         auto [acct, amount] = SplitAmount(ctx.ArgsAsString());
         CheckOwnership(dir, ctx, acct);
         auto v = co_await ctx.ReadForUpdate(acct);
@@ -82,7 +82,7 @@ void RegisterShardedBankProcs(client::Cluster& cluster, vr::GroupId group) {
       });
   cluster.RegisterProc(
       group, "balance",
-      [&dir](core::ProcContext& ctx) -> sim::Task<std::vector<std::uint8_t>> {
+      [&dir](core::ProcContext& ctx) -> host::Task<std::vector<std::uint8_t>> {
         const std::string acct = ctx.ArgsAsString();
         CheckOwnership(dir, ctx, acct);
         auto v = co_await ctx.Read(acct);
@@ -131,7 +131,7 @@ int FundShardedAccounts(client::Cluster& cluster, const ShardedBank& bank,
       cluster, bank.client_group,
       [&dir, initial](std::uint64_t i) -> core::TxnBody {
         return [&dir, acct = ShardAccountName(static_cast<int>(i)),
-                initial](core::TxnHandle& h) -> sim::Task<bool> {
+                initial](core::TxnHandle& h) -> host::Task<bool> {
           const core::ShardRange* r = dir.Route(acct);
           if (r == nullptr) throw core::TxnError("unplaced: " + acct);
           co_await h.Call(r->owner, "open",
@@ -148,7 +148,7 @@ core::TxnBody MakeShardedTransferTxn(client::ShardRouter& router,
                                      std::string from_acct,
                                      std::string to_acct, long long amt) {
   return [&router, from = std::move(from_acct), to = std::move(to_acct),
-          amt](core::TxnHandle& h) -> sim::Task<bool> {
+          amt](core::TxnHandle& h) -> host::Task<bool> {
     const vr::GroupId gf = router.Route(from);
     const vr::GroupId gt = router.Route(to);
     if (gf == 0 || gt == 0) {

@@ -6,13 +6,13 @@
 #include <string>
 #include <vector>
 
-#include "sim/time.h"
+#include "host/time.h"
 
 namespace vsr::workload {
 
 class LatencyRecorder {
  public:
-  void Add(sim::Duration d) {
+  void Add(host::Duration d) {
     samples_.push_back(d);
     sorted_ = false;
   }
@@ -26,19 +26,19 @@ class LatencyRecorder {
     return sum / static_cast<double>(samples_.size());
   }
 
-  sim::Duration Percentile(double p) const {
+  host::Duration Percentile(double p) const {
     if (samples_.empty()) return 0;
     Sort();
     double idx = p / 100.0 * static_cast<double>(samples_.size() - 1);
     return samples_[static_cast<std::size_t>(idx + 0.5)];
   }
 
-  sim::Duration Min() const {
+  host::Duration Min() const {
     if (samples_.empty()) return 0;
     Sort();
     return samples_.front();
   }
-  sim::Duration Max() const {
+  host::Duration Max() const {
     if (samples_.empty()) return 0;
     Sort();
     return samples_.back();
@@ -48,10 +48,11 @@ class LatencyRecorder {
     char buf[160];
     std::snprintf(buf, sizeof(buf),
                   "n=%zu mean=%s p50=%s p99=%s max=%s", count(),
-                  sim::FormatDuration(static_cast<sim::Duration>(Mean())).c_str(),
-                  sim::FormatDuration(Percentile(50)).c_str(),
-                  sim::FormatDuration(Percentile(99)).c_str(),
-                  sim::FormatDuration(Max()).c_str());
+                  host::FormatDuration(static_cast<host::Duration>(Mean()))
+                      .c_str(),
+                  host::FormatDuration(Percentile(50)).c_str(),
+                  host::FormatDuration(Percentile(99)).c_str(),
+                  host::FormatDuration(Max()).c_str());
     return buf;
   }
 
@@ -62,7 +63,7 @@ class LatencyRecorder {
       sorted_ = true;
     }
   }
-  mutable std::vector<sim::Duration> samples_;
+  mutable std::vector<host::Duration> samples_;
   mutable bool sorted_ = true;
 };
 

@@ -84,7 +84,7 @@ TEST(NonReplicated, TxnPhasesPayStableStorageLatency) {
   sim::Simulation simulation(74);
   net::Network network(simulation, {});
   storage::StableStoreOptions sopts;
-  sopts.force_latency = 10 * sim::kMillisecond;
+  sopts.force_latency = 10 * host::kMillisecond;
   storage::StableStore stable(simulation, sopts);
   StableServer server(simulation, network, 50, stable);
   StableClient client(simulation, network, 51, 50);
@@ -99,7 +99,7 @@ TEST(NonReplicated, TxnPhasesPayStableStorageLatency) {
   ASSERT_TRUE(done);
   ASSERT_TRUE(timing.ok);
   // Calls are fast (no force); prepare and commit each pay >= one force.
-  EXPECT_LT(timing.call_latency, 2 * sim::kMillisecond);
+  EXPECT_LT(timing.call_latency, 2 * host::kMillisecond);
   EXPECT_GE(timing.prepare_latency, sopts.force_latency);
   EXPECT_GE(timing.commit_latency, sopts.force_latency);
   EXPECT_EQ(server.forced_writes(), 2u);  // data+prepare, commit
@@ -113,7 +113,7 @@ TEST(NonReplicated, ViewstampedVariantPreparesFasterWithThinkTime) {
   sim::Simulation simulation(75);
   net::Network network(simulation, {});
   storage::StableStoreOptions sopts;
-  sopts.force_latency = 10 * sim::kMillisecond;
+  sopts.force_latency = 10 * host::kMillisecond;
   storage::StableStore stable(simulation, sopts);
   baseline::ViewstampedStableServer server(simulation, network, 50, stable);
   baseline::StableClient client(simulation, network, 51, 50);
@@ -129,11 +129,11 @@ TEST(NonReplicated, ViewstampedVariantPreparesFasterWithThinkTime) {
         timing = t;
         done = true;
       },
-      /*think=*/40 * sim::kMillisecond);
+      /*think=*/40 * host::kMillisecond);
   simulation.scheduler().RunToQuiescence();
   ASSERT_TRUE(done);
   ASSERT_TRUE(timing.ok);
-  EXPECT_LT(timing.prepare_latency, sim::kMillisecond);
+  EXPECT_LT(timing.prepare_latency, host::kMillisecond);
   EXPECT_GE(server.stats().prepares_immediate, 1u);
   // Commit still pays its force, exactly like the conventional design.
   EXPECT_GE(timing.commit_latency, sopts.force_latency);
@@ -141,7 +141,7 @@ TEST(NonReplicated, ViewstampedVariantPreparesFasterWithThinkTime) {
 }
 
 TEST(Models, ViewChangeCostsMatchPaperStructure) {
-  const sim::Duration d = 1 * sim::kMillisecond;
+  const host::Duration d = 1 * host::kMillisecond;
   // §4.1: one round when the manager is the new primary; +1 message else.
   auto vr_best = VrViewChange(3, true, d);
   auto vr_other = VrViewChange(3, false, d);
@@ -155,7 +155,7 @@ TEST(Models, ViewChangeCostsMatchPaperStructure) {
 }
 
 TEST(Models, VotingWritesCostMoreThanVrCalls) {
-  const sim::Duration d = 1 * sim::kMillisecond;
+  const host::Duration d = 1 * host::kMillisecond;
   for (std::size_t n : {3u, 5u, 7u}) {
     auto vr = VrCall(n, d);
     auto voting = VotingWrite(n, d);  // write-all

@@ -25,17 +25,17 @@ struct World {
 };
 
 vr::TxnOutcome RunClientTxn(World& w, UnreplicatedClient& c,
-                            std::function<sim::Task<bool>(ClientTxn&)> body,
-                            sim::Duration deadline = 10 * sim::kSecond) {
+                            std::function<host::Task<bool>(ClientTxn&)> body,
+                            host::Duration deadline = 10 * host::kSecond) {
   vr::TxnOutcome outcome = vr::TxnOutcome::kUnknown;
   bool done = false;
   c.Spawn(std::move(body), [&](vr::TxnOutcome o) {
     outcome = o;
     done = true;
   });
-  const sim::Time end = w.cluster.sim().Now() + deadline;
+  const host::Time end = w.cluster.sim().Now() + deadline;
   while (!done && w.cluster.sim().Now() < end) {
-    w.cluster.RunFor(10 * sim::kMillisecond);
+    w.cluster.RunFor(10 * host::kMillisecond);
   }
   return outcome;
 }
@@ -47,12 +47,12 @@ TEST(CoordinatorServer, ClientCommitsThroughIt) {
                        w.cluster.directory(), w.cluster.AllocateMid(), w.coord,
                        core::CohortOptions{});
 
-  auto outcome = RunClientTxn(w, c, [&](ClientTxn& t) -> sim::Task<bool> {
+  auto outcome = RunClientTxn(w, c, [&](ClientTxn& t) -> host::Task<bool> {
     co_await t.Call(w.server, "put", std::string("x=5"));
     co_return true;
   });
   EXPECT_EQ(outcome, vr::TxnOutcome::kCommitted);
-  w.cluster.RunFor(1 * sim::kSecond);
+  w.cluster.RunFor(1 * host::kSecond);
   EXPECT_EQ(test::CommittedValue(w.cluster, w.server, "x"), "5");
   EXPECT_EQ(c.stats().txns_committed, 1u);
 }
@@ -63,16 +63,16 @@ TEST(CoordinatorServer, AbortDiscardsEffects) {
   UnreplicatedClient c(w.cluster.sim(), w.cluster.network(),
                        w.cluster.directory(), w.cluster.AllocateMid(), w.coord,
                        core::CohortOptions{});
-  auto outcome = RunClientTxn(w, c, [&](ClientTxn& t) -> sim::Task<bool> {
+  auto outcome = RunClientTxn(w, c, [&](ClientTxn& t) -> host::Task<bool> {
     co_await t.Call(w.server, "put", std::string("y=9"));
     co_return false;  // client decides to abort
   });
   EXPECT_EQ(outcome, vr::TxnOutcome::kAborted);
-  w.cluster.RunFor(2 * sim::kSecond);
+  w.cluster.RunFor(2 * host::kSecond);
   EXPECT_EQ(test::CommittedValue(w.cluster, w.server, "y"), "");
   // Locks released (possibly via the coordinator-server's abort or sweep):
   // a new transaction gets through.
-  auto again = RunClientTxn(w, c, [&](ClientTxn& t) -> sim::Task<bool> {
+  auto again = RunClientTxn(w, c, [&](ClientTxn& t) -> host::Task<bool> {
     co_await t.Call(w.server, "put", std::string("y=1"));
     co_return true;
   });
@@ -89,28 +89,28 @@ TEST(CoordinatorServer, VanishedClientIsSweptAndLocksFreed) {
                              w.cluster.directory(), w.cluster.AllocateMid(),
                              w.coord, core::CohortOptions{});
     bool called = false;
-    ghost.Spawn([&](ClientTxn& t) -> sim::Task<bool> {
+    ghost.Spawn([&](ClientTxn& t) -> host::Task<bool> {
       co_await t.Call(w.server, "put", std::string("z=ghost"));
       called = true;
       // Sleep forever (until destroyed): never commits.
-      co_await sim::Sleep(w.cluster.sim().scheduler(), 3600 * sim::kSecond);
+      co_await host::Sleep(w.cluster.sim().scheduler(), 3600 * host::kSecond);
       co_return true;
     });
-    while (!called) w.cluster.RunFor(10 * sim::kMillisecond);
+    while (!called) w.cluster.RunFor(10 * host::kMillisecond);
     // Destroying the client kills the suspended coroutine — the crash.
   }
   // §3.5: "if no reply is forthcoming, it can abort the transaction
   // unilaterally." After the sweep the lock is free.
-  w.cluster.RunFor(5 * sim::kSecond);
+  w.cluster.RunFor(5 * host::kSecond);
   UnreplicatedClient c(w.cluster.sim(), w.cluster.network(),
                        w.cluster.directory(), w.cluster.AllocateMid(), w.coord,
                        core::CohortOptions{});
-  auto outcome = RunClientTxn(w, c, [&](ClientTxn& t) -> sim::Task<bool> {
+  auto outcome = RunClientTxn(w, c, [&](ClientTxn& t) -> host::Task<bool> {
     co_await t.Call(w.server, "put", std::string("z=real"));
     co_return true;
   });
   EXPECT_EQ(outcome, vr::TxnOutcome::kCommitted);
-  w.cluster.RunFor(1 * sim::kSecond);
+  w.cluster.RunFor(1 * host::kSecond);
   EXPECT_EQ(test::CommittedValue(w.cluster, w.server, "z"), "real");
 }
 
@@ -122,7 +122,7 @@ TEST(CoordinatorServer, SurvivesCoordinatorPrimaryCrash) {
                        core::CohortOptions{});
   // First transaction establishes the cache; then crash the coordinator
   // primary and run another transaction — the client re-probes.
-  auto first = RunClientTxn(w, c, [&](ClientTxn& t) -> sim::Task<bool> {
+  auto first = RunClientTxn(w, c, [&](ClientTxn& t) -> host::Task<bool> {
     co_await t.Call(w.server, "put", std::string("k=1"));
     co_return true;
   });
@@ -134,12 +134,12 @@ TEST(CoordinatorServer, SurvivesCoordinatorPrimaryCrash) {
     }
   }
   ASSERT_TRUE(w.cluster.RunUntilStable());
-  auto second = RunClientTxn(w, c, [&](ClientTxn& t) -> sim::Task<bool> {
+  auto second = RunClientTxn(w, c, [&](ClientTxn& t) -> host::Task<bool> {
     co_await t.Call(w.server, "put", std::string("k=2"));
     co_return true;
   });
   EXPECT_EQ(second, vr::TxnOutcome::kCommitted);
-  w.cluster.RunFor(1 * sim::kSecond);
+  w.cluster.RunFor(1 * host::kSecond);
   EXPECT_EQ(test::CommittedValue(w.cluster, w.server, "k"), "2");
 }
 
@@ -150,7 +150,7 @@ TEST(CoordinatorServer, QueriesResolveThenDoneRecordGarbageCollects) {
                        w.cluster.directory(), w.cluster.AllocateMid(), w.coord,
                        core::CohortOptions{});
   vr::Aid aid{};
-  auto outcome = RunClientTxn(w, c, [&](ClientTxn& t) -> sim::Task<bool> {
+  auto outcome = RunClientTxn(w, c, [&](ClientTxn& t) -> host::Task<bool> {
     aid = t.aid();
     co_await t.Call(w.server, "put", std::string("q=1"));
     co_return true;
@@ -166,12 +166,12 @@ TEST(CoordinatorServer, QueriesResolveThenDoneRecordGarbageCollects) {
     queried = o;
     done = true;
   });
-  while (!done) w.cluster.RunFor(10 * sim::kMillisecond);
+  while (!done) w.cluster.RunFor(10 * host::kMillisecond);
   EXPECT_NE(queried, vr::TxnOutcome::kAborted);
 
   // After everything settles, the done record has garbage-collected the
   // outcome at every coordinator cohort.
-  w.cluster.RunFor(3 * sim::kSecond);
+  w.cluster.RunFor(3 * host::kSecond);
   for (auto* cohort : w.cluster.Cohorts(w.coord)) {
     if (cohort->status() != core::Status::kActive) continue;
     EXPECT_EQ(cohort->outcomes().Lookup(aid), vr::TxnOutcome::kUnknown)

@@ -46,7 +46,7 @@ TEST(Cluster, RunUntilStableFailsWhenNoMajorityPossible) {
   ASSERT_TRUE(cluster.RunUntilStable());
   cluster.Crash(g, 0);
   cluster.Crash(g, 1);
-  EXPECT_FALSE(cluster.RunUntilStable(3 * sim::kSecond));
+  EXPECT_FALSE(cluster.RunUntilStable(3 * host::kSecond));
 }
 
 TEST(Cluster, PerGroupOptionOverride) {
@@ -84,7 +84,7 @@ TEST(Cluster, DeterministicAcrossIdenticalRuns) {
     for (int i = 0; i < 5; ++i) {
       test::RunOneCall(cluster, client_g, g, "add", "x=1");
     }
-    cluster.RunFor(1 * sim::kSecond);
+    cluster.RunFor(1 * host::kSecond);
     // Digest: final time + network counters + schedule hash + committed value.
     char buf[160];
     std::snprintf(buf, sizeof(buf), "%llu/%llu/%llx/%s",
@@ -116,9 +116,9 @@ TEST(Tracer, CapturesProtocolEvents) {
   Cluster cluster(ClusterOptions{.seed = 206});
   cluster.AddGroup("kv", 3);
   std::vector<std::string> lines;
-  cluster.sim().tracer().set_level(sim::TraceLevel::kDebug);
+  cluster.sim().tracer().set_level(host::TraceLevel::kDebug);
   cluster.sim().tracer().set_sink(
-      [&](sim::Time, sim::TraceLevel, const std::string& tag,
+      [&](host::Time, host::TraceLevel, const std::string& tag,
           const std::string& line) { lines.push_back(tag + ": " + line); });
   cluster.Start();
   ASSERT_TRUE(cluster.RunUntilStable());
@@ -132,9 +132,9 @@ TEST(Tracer, CapturesProtocolEvents) {
   EXPECT_TRUE(saw_formed);
   EXPECT_TRUE(saw_active);
   // Disabling tracing stops the stream.
-  cluster.sim().tracer().set_level(sim::TraceLevel::kOff);
+  cluster.sim().tracer().set_level(host::TraceLevel::kOff);
   const std::size_t count = lines.size();
-  cluster.RunFor(1 * sim::kSecond);
+  cluster.RunFor(1 * host::kSecond);
   EXPECT_EQ(lines.size(), count);
 }
 

@@ -22,7 +22,7 @@ TEST(FrameLog, CapturesTheViewChangeSequence) {
   EXPECT_GE(log.CountType(vr::MsgType::kInvite), 2u);
   EXPECT_GE(log.CountType(vr::MsgType::kAccept), 2u);
   EXPECT_GE(log.CountType(vr::MsgType::kBufferBatch), 1u);
-  sim::Time first_invite = 0, first_batch = 0;
+  host::Time first_invite = 0, first_batch = 0;
   for (const auto& e : log.entries()) {
     if (e.type == static_cast<std::uint16_t>(vr::MsgType::kInvite) &&
         first_invite == 0) {
@@ -48,7 +48,7 @@ TEST(FrameLog, CapacityBoundsMemory) {
   net::FrameLog log(cluster.sim(), cluster.network(), /*capacity=*/16);
   cluster.Start();
   ASSERT_TRUE(cluster.RunUntilStable());
-  cluster.RunFor(2 * sim::kSecond);  // plenty of pings
+  cluster.RunFor(2 * host::kSecond);  // plenty of pings
   EXPECT_LE(log.entries().size(), 16u);
   EXPECT_GT(log.dropped(), 0u);
 }
@@ -64,7 +64,7 @@ TEST(FrameLog, TransactionMessageFlow) {
   net::FrameLog log(cluster.sim(), cluster.network());
   ASSERT_EQ(test::RunOneCall(cluster, agents, g, "put", "k=1"),
             vr::TxnOutcome::kCommitted);
-  cluster.RunFor(500 * sim::kMillisecond);
+  cluster.RunFor(500 * host::kMillisecond);
 
   // One transaction = exactly one executed call/reply, one prepare/reply,
   // one commit/done at the data plane (no retransmissions on the clean

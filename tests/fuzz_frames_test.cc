@@ -64,7 +64,7 @@ TEST_P(FrameFuzzTest, GarbageFramesDoNotDisruptSafety) {
       ADD_FAILURE() << "round " << round << ": " << v;
     }
   }
-  cluster.RunFor(2 * sim::kSecond);
+  cluster.RunFor(2 * host::kSecond);
   EXPECT_GT(committed, 20);  // progress despite the garbage
   EXPECT_EQ(test::CommittedValue(cluster, kv, "ctr"),
             std::to_string(committed));

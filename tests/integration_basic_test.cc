@@ -52,7 +52,7 @@ TEST(Commit, SingleCallTransactionCommits) {
   auto outcome = RunOneCall(cluster, client_g, server, "put", "x=42");
   EXPECT_EQ(outcome, vr::TxnOutcome::kCommitted);
 
-  cluster.RunFor(500 * sim::kMillisecond);  // let phase two + buffer settle
+  cluster.RunFor(500 * host::kMillisecond);  // let phase two + buffer settle
   // Committed value installed at the primary...
   EXPECT_EQ(test::CommittedValue(cluster, server, "x"), "42");
   // ...and replicated to every active backup.
@@ -78,7 +78,7 @@ TEST(Commit, MultiGroupTransactionCommitsAtomically) {
   vr::TxnOutcome outcome = vr::TxnOutcome::kUnknown;
   bool done = false;
   primary->SpawnTransaction(
-      [a, b](core::TxnHandle& h) -> sim::Task<bool> {
+      [a, b](core::TxnHandle& h) -> host::Task<bool> {
         co_await h.Call(a, "put", std::string("src=100"));
         co_await h.Call(b, "put", std::string("dst=200"));
         co_return true;
@@ -87,9 +87,9 @@ TEST(Commit, MultiGroupTransactionCommitsAtomically) {
         outcome = o;
         done = true;
       });
-  while (!done) cluster.RunFor(10 * sim::kMillisecond);
+  while (!done) cluster.RunFor(10 * host::kMillisecond);
   EXPECT_EQ(outcome, vr::TxnOutcome::kCommitted);
-  cluster.RunFor(500 * sim::kMillisecond);
+  cluster.RunFor(500 * host::kMillisecond);
   EXPECT_EQ(test::CommittedValue(cluster, a, "src"), "100");
   EXPECT_EQ(test::CommittedValue(cluster, b, "dst"), "200");
 }
@@ -106,7 +106,7 @@ TEST(Commit, ReadModifyWriteSequence) {
     auto outcome = RunOneCall(cluster, client_g, server, "add", "ctr=1");
     ASSERT_EQ(outcome, vr::TxnOutcome::kCommitted) << "iteration " << i;
   }
-  cluster.RunFor(500 * sim::kMillisecond);
+  cluster.RunFor(500 * host::kMillisecond);
   EXPECT_EQ(test::CommittedValue(cluster, server, "ctr"), "10");
 }
 
@@ -123,7 +123,7 @@ TEST(Abort, BodyFalseAbortsAndDiscardsTentativeState) {
   vr::TxnOutcome outcome = vr::TxnOutcome::kUnknown;
   bool done = false;
   primary->SpawnTransaction(
-      [server](core::TxnHandle& h) -> sim::Task<bool> {
+      [server](core::TxnHandle& h) -> host::Task<bool> {
         co_await h.Call(server, "put", std::string("y=13"));
         co_return false;  // application decides to abort
       },
@@ -131,14 +131,14 @@ TEST(Abort, BodyFalseAbortsAndDiscardsTentativeState) {
         outcome = o;
         done = true;
       });
-  while (!done) cluster.RunFor(10 * sim::kMillisecond);
+  while (!done) cluster.RunFor(10 * host::kMillisecond);
   EXPECT_EQ(outcome, vr::TxnOutcome::kAborted);
-  cluster.RunFor(500 * sim::kMillisecond);
+  cluster.RunFor(500 * host::kMillisecond);
   EXPECT_EQ(test::CommittedValue(cluster, server, "y"), "");
   // Locks must be gone so later transactions proceed.
   auto again = RunOneCall(cluster, client_g, server, "put", "y=7");
   EXPECT_EQ(again, vr::TxnOutcome::kCommitted);
-  cluster.RunFor(300 * sim::kMillisecond);
+  cluster.RunFor(300 * host::kMillisecond);
   EXPECT_EQ(test::CommittedValue(cluster, server, "y"), "7");
 }
 
@@ -159,7 +159,7 @@ TEST(Commit, ReadOnlyTransaction) {
   vr::TxnOutcome outcome = vr::TxnOutcome::kUnknown;
   bool done = false;
   primary->SpawnTransaction(
-      [server, &read_value](core::TxnHandle& h) -> sim::Task<bool> {
+      [server, &read_value](core::TxnHandle& h) -> host::Task<bool> {
         auto v = co_await h.Call(server, "get", std::string("z"));
         read_value = Str(v);
         co_return true;
@@ -168,7 +168,7 @@ TEST(Commit, ReadOnlyTransaction) {
         outcome = o;
         done = true;
       });
-  while (!done) cluster.RunFor(10 * sim::kMillisecond);
+  while (!done) cluster.RunFor(10 * host::kMillisecond);
   EXPECT_EQ(outcome, vr::TxnOutcome::kCommitted);
   EXPECT_EQ(read_value, "9");
 }
@@ -182,7 +182,7 @@ TEST(Commit, NestedServerCall) {
   // front.relay forwards "k=v" to back.put and records an audit entry.
   cluster.RegisterProc(
       front, "relay",
-      [back](core::ProcContext& ctx) -> sim::Task<std::vector<std::uint8_t>> {
+      [back](core::ProcContext& ctx) -> host::Task<std::vector<std::uint8_t>> {
         auto r = co_await ctx.Call(back, "put", Bytes(ctx.ArgsAsString()));
         co_await ctx.Write("audit", ctx.ArgsAsString());
         co_return r;
@@ -192,7 +192,7 @@ TEST(Commit, NestedServerCall) {
 
   auto outcome = RunOneCall(cluster, client_g, front, "relay", "k=5");
   EXPECT_EQ(outcome, vr::TxnOutcome::kCommitted);
-  cluster.RunFor(500 * sim::kMillisecond);
+  cluster.RunFor(500 * host::kMillisecond);
   // Both the nested write at `back` and the local write at `front` landed.
   EXPECT_EQ(test::CommittedValue(cluster, back, "k"), "5");
   EXPECT_EQ(test::CommittedValue(cluster, front, "audit"), "k=5");

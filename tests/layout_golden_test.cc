@@ -612,7 +612,7 @@ TEST(LayoutGolden, LogCheckpoint) {
   ASSERT_NE(primary, nullptr);
   CohortTestPeer::Seed(*primary);
   CohortTestPeer::LogCheckpoint(*primary, 0x71);
-  cluster.RunFor(50 * sim::kMillisecond);
+  cluster.RunFor(50 * host::kMillisecond);
   const auto entries = CohortTestPeer::ReplayLog(*primary);
   ASSERT_FALSE(entries.empty());
   EXPECT_EQ(entries.front().kind, 1);
@@ -664,13 +664,13 @@ TEST(LayoutGolden, ShardImageAndDropBounds) {
   pull.lo = "a";
   pull.hi = "c";
   CohortTestPeer::OnShardPull(*primary, pull);
-  cluster.RunFor(5 * sim::kMillisecond);
+  cluster.RunFor(5 * host::kMillisecond);
   ExpectHex("shard image", image,
       "0100000061010000006301000000000000000100000004000000626173650200"
       "00007630");
 
   CohortTestPeer::DropShard(*primary, "m", "n");
-  cluster.RunFor(50 * sim::kMillisecond);
+  cluster.RunFor(50 * host::kMillisecond);
   cluster.network().set_observer(nullptr);
   ExpectHex("shard drop bounds", drop,
       "010000006d010000006e");

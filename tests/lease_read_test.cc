@@ -66,9 +66,9 @@ struct LeaseWorld {
           done = true;
           ok = o == vr::TxnOutcome::kCommitted;
         });
-    const sim::Time deadline = cluster->sim().Now() + 10 * sim::kSecond;
+    const host::Time deadline = cluster->sim().Now() + 10 * host::kSecond;
     while (!done && cluster->sim().Now() < deadline) {
-      cluster->RunFor(1 * sim::kMillisecond);
+      cluster->RunFor(1 * host::kMillisecond);
     }
     return ok;
   }
@@ -97,9 +97,9 @@ struct LeaseWorld {
     cluster->network().Send(from, target,
                             static_cast<std::uint16_t>(vr::MsgType::kBackupRead),
                             vr::EncodeMsg(m));
-    const sim::Time deadline = cluster->sim().Now() + 1 * sim::kSecond;
+    const host::Time deadline = cluster->sim().Now() + 1 * host::kSecond;
     while (cluster->sim().Now() < deadline) {
-      cluster->RunFor(1 * sim::kMillisecond);
+      cluster->RunFor(1 * host::kMillisecond);
       for (auto& r : capture.replies) {
         if (r.corr == m.corr) return r;
       }
@@ -118,9 +118,9 @@ TEST(LeaseReads, BackupServesCommittedValueUnderLease) {
   // renews the lease with a watermark that covers it — only then do the
   // backups serve it. Fresh writes become backup-readable one renewal
   // behind, never inconsistently.
-  w.cluster->RunFor(10 * sim::kMillisecond);
+  w.cluster->RunFor(10 * host::kMillisecond);
   ASSERT_TRUE(w.Put("item1", "later"));
-  w.cluster->RunFor(20 * sim::kMillisecond);
+  w.cluster->RunFor(20 * host::kMillisecond);
 
   core::Cohort* backup = w.Backup();
   ASSERT_NE(backup, nullptr);
@@ -153,7 +153,7 @@ TEST(LeaseReads, ExpiredLeaseBouncesToPrimaryWithHint) {
   ASSERT_TRUE(w.cluster->RunUntilStable());
   ASSERT_TRUE(w.Put("item0", "hello"));
   // No writes -> no ack traffic -> no renewals: run far past the lease.
-  w.cluster->RunFor(500 * sim::kMillisecond);
+  w.cluster->RunFor(500 * host::kMillisecond);
 
   core::Cohort* backup = w.Backup();
   core::Cohort* primary = w.Primary();
@@ -182,9 +182,9 @@ TEST(LeaseReads, HorizonPastStableBoundIsRefusedTooNew) {
   ASSERT_TRUE(w.Put("item0", "hello"));
   // Second write so a renewal's watermark provably covers item0 (see
   // BackupServesCommittedValueUnderLease).
-  w.cluster->RunFor(10 * sim::kMillisecond);
+  w.cluster->RunFor(10 * host::kMillisecond);
   ASSERT_TRUE(w.Put("item1", "later"));
-  w.cluster->RunFor(20 * sim::kMillisecond);
+  w.cluster->RunFor(20 * host::kMillisecond);
 
   core::Cohort* backup = w.Backup();
   ASSERT_NE(backup, nullptr);
@@ -211,22 +211,22 @@ TEST(LeaseReads, ReadClientBouncesAndFallsBackToPrimary) {
   ASSERT_TRUE(w.cluster->RunUntilStable());
   ASSERT_TRUE(w.Put("item0", "hello"));
   // Let every lease expire so each backup bounces the router's first try.
-  w.cluster->RunFor(500 * sim::kMillisecond);
+  w.cluster->RunFor(500 * host::kMillisecond);
 
   client::ReadClient rc(w.cluster->sim(), w.cluster->network(),
                         w.cluster->directory(), w.cluster->AllocateMid(),
                         w.cluster->CohortAt(w.catalog, 0).options());
-  sim::TaskRegistry tasks(w.cluster->sim().scheduler());
+  host::TaskRegistry tasks(w.cluster->sim().scheduler());
   std::optional<std::string> got;
   bool done = false;
   tasks.Spawn([](client::ReadClient* c, vr::GroupId g, bool* fin,
-                 std::optional<std::string>* out) -> sim::Task<void> {
+                 std::optional<std::string>* out) -> host::Task<void> {
     *out = co_await c->Read(g, "item0");
     *fin = true;
   }(&rc, w.catalog, &done, &got));
-  const sim::Time deadline = w.cluster->sim().Now() + 5 * sim::kSecond;
+  const host::Time deadline = w.cluster->sim().Now() + 5 * host::kSecond;
   while (!done && w.cluster->sim().Now() < deadline) {
-    w.cluster->RunFor(1 * sim::kMillisecond);
+    w.cluster->RunFor(1 * host::kMillisecond);
   }
   ASSERT_TRUE(done);
   ASSERT_TRUE(got.has_value());
@@ -248,7 +248,7 @@ TEST(LeaseReads, OffByDefaultEmitsNoLeaseFrames) {
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(w.Put(workload::CatalogKey(i), "v1"));
   }
-  w.cluster->RunFor(1 * sim::kSecond);
+  w.cluster->RunFor(1 * host::kSecond);
   EXPECT_EQ(lease_frames, 0u);
   for (auto* c : w.cluster->Cohorts(w.catalog)) {
     EXPECT_EQ(c->buffer().stats().leases_granted, 0u);
@@ -295,16 +295,16 @@ TEST(LeaseReads, LeaseReadScheduleIsDeterministic) {
     client::ReadClient rc(w.cluster->sim(), w.cluster->network(),
                           w.cluster->directory(), w.cluster->AllocateMid(),
                           w.cluster->CohortAt(w.catalog, 0).options());
-    sim::TaskRegistry tasks(w.cluster->sim().scheduler());
+    host::TaskRegistry tasks(w.cluster->sim().scheduler());
     std::uint64_t reads_done = 0;
     tasks.Spawn([](client::ReadClient* c, vr::GroupId g,
-                   std::uint64_t* n) -> sim::Task<void> {
+                   std::uint64_t* n) -> host::Task<void> {
       for (int i = 0; i < 20; ++i) {
         (void)co_await c->Read(g, workload::CatalogKey(i % 4));
         ++*n;
       }
     }(&rc, w.catalog, &reads_done));
-    w.cluster->RunFor(2 * sim::kSecond);
+    w.cluster->RunFor(2 * host::kSecond);
     char buf[96];
     std::snprintf(buf, sizeof(buf), "%llu/%llx/%llu",
                   static_cast<unsigned long long>(w.cluster->sim().Now()),
@@ -347,7 +347,7 @@ TEST(CommitPath, ReadOnlyCommitSkipsDecisionLadder) {
   // released nothing it shouldn't have.
   ASSERT_EQ(test::RunOneCall(cluster, agents, kv, "put", "x=2"),
             vr::TxnOutcome::kCommitted);
-  cluster.RunFor(500 * sim::kMillisecond);
+  cluster.RunFor(500 * host::kMillisecond);
   EXPECT_EQ(test::CommittedValue(cluster, kv, "x"), "2");
 }
 
@@ -360,7 +360,7 @@ TEST(CommitPath, SiblingDecisionsPiggybackOnOneFrame) {
   opts.seed = 409;
   // Widen the coalesce window so the 8-deep closed loop reliably overlaps
   // decisions for the same destination.
-  opts.cohort.decision_coalesce_delay = 2 * sim::kMillisecond;
+  opts.cohort.decision_coalesce_delay = 2 * host::kMillisecond;
   Cluster cluster(opts);
   auto bank = workload::SetupShardedBank(cluster, 2, 3, 12);
   cluster.Start();
@@ -384,7 +384,7 @@ TEST(CommitPath, SiblingDecisionsPiggybackOnOneFrame) {
       },
       dopts);
   ASSERT_TRUE(driver.Run());
-  cluster.RunFor(2 * sim::kSecond);
+  cluster.RunFor(2 * host::kSecond);
 
   std::uint64_t piggybacked = 0;
   for (auto* c : cluster.Cohorts(bank.client_group)) {
@@ -419,13 +419,13 @@ TEST(LeaseSoak, ReadsStaySerializableAcrossCrashes) {
   client::ReadClient rc(w.cluster->sim(), w.cluster->network(),
                         w.cluster->directory(), w.cluster->AllocateMid(),
                         w.cluster->CohortAt(w.catalog, 0).options());
-  sim::TaskRegistry tasks(w.cluster->sim().scheduler());
+  host::TaskRegistry tasks(w.cluster->sim().scheduler());
   bool stop = false;
   std::uint64_t regressions = 0, reads = 0;
   std::map<std::string, long long> last_version;
   tasks.Spawn([](client::ReadClient* c, vr::GroupId g, bool* stop_flag,
                  std::map<std::string, long long>* last, std::uint64_t* regress,
-                 std::uint64_t* count) -> sim::Task<void> {
+                 std::uint64_t* count) -> host::Task<void> {
     sim::Rng rng(4100);
     while (!*stop_flag) {
       const std::string item =
@@ -451,9 +451,9 @@ TEST(LeaseSoak, ReadsStaySerializableAcrossCrashes) {
           workload::MakeCatalogBumpTxn(
               w.catalog, workload::CatalogKey(static_cast<int>(rng.Index(8)))),
           [&](vr::TxnOutcome) { done = true; });
-      const sim::Time deadline = w.cluster->sim().Now() + 5 * sim::kSecond;
+      const host::Time deadline = w.cluster->sim().Now() + 5 * host::kSecond;
       while (!done && w.cluster->sim().Now() < deadline) {
-        w.cluster->RunFor(1 * sim::kMillisecond);
+        w.cluster->RunFor(1 * host::kMillisecond);
       }
     }
     // Crash the catalog primary mid-traffic; the view change revokes every
@@ -468,13 +468,13 @@ TEST(LeaseSoak, ReadsStaySerializableAcrossCrashes) {
         return std::size_t{0};
       }();
       w.cluster->Crash(w.catalog, idx);
-      w.cluster->RunFor(2 * sim::kSecond);
+      w.cluster->RunFor(2 * host::kSecond);
       w.cluster->Recover(w.catalog, idx);
       ASSERT_TRUE(w.cluster->RunUntilStable());
     }
   }
   stop = true;
-  w.cluster->RunFor(200 * sim::kMillisecond);
+  w.cluster->RunFor(200 * host::kMillisecond);
   EXPECT_EQ(regressions, 0u);
   EXPECT_GT(reads, 0u);
 }

@@ -261,13 +261,13 @@ TEST_P(Seeded, SchedulerOrderingProperty) {
   sim::Rng rng(GetParam() * 31);
   sim::Scheduler sched;
   struct Fired {
-    sim::Time at;
+    host::Time at;
     int seq;
   };
   std::vector<Fired> fired;
-  std::vector<std::pair<sim::Time, int>> inserted;
+  std::vector<std::pair<host::Time, int>> inserted;
   for (int i = 0; i < 500; ++i) {
-    const sim::Time t = rng.Index(100);
+    const host::Time t = rng.Index(100);
     inserted.push_back({t, i});
     sched.At(t, [&fired, t, i] { fired.push_back({t, i}); });
   }

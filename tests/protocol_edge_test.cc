@@ -37,7 +37,7 @@ TEST(MultiPrimary, StalePrimaryStaysActiveButCannotCommit) {
   // §4.1's premise: "the old primary is slow to notice the need for a view
   // change and continues to respond to client requests even after the new
   // view is formed."
-  old_primary->mutable_options().liveness_timeout = 60 * sim::kSecond;
+  old_primary->mutable_options().liveness_timeout = 60 * host::kSecond;
 
   // Partition: {old primary, agents-a} vs {both backups, agents-b}.
   std::vector<net::NodeId> side_a{old_primary->mid()};
@@ -53,11 +53,11 @@ TEST(MultiPrimary, StalePrimaryStaysActiveButCannotCommit) {
   // so much that the stale primary notices (it cannot: its pings go nowhere,
   // but receives nothing either — it eventually becomes a manager; sample
   // while it is still active).
-  sim::Time deadline = cluster.sim().Now() + 10 * sim::kSecond;
+  host::Time deadline = cluster.sim().Now() + 10 * host::kSecond;
   core::Cohort* new_primary = nullptr;
   bool saw_dual_active = false;
   while (cluster.sim().Now() < deadline) {
-    cluster.RunFor(10 * sim::kMillisecond);
+    cluster.RunFor(10 * host::kMillisecond);
     new_primary = nullptr;
     for (auto* c : cluster.Cohorts(kv)) {
       if (c->IsActivePrimary() && c != old_primary &&
@@ -77,7 +77,7 @@ TEST(MultiPrimary, StalePrimaryStaysActiveButCannotCommit) {
   // "The old primary will not be able to prepare and commit user
   //  transactions, however, since it cannot force their effects" (§4.1).
   auto stale = test::RunOneCall(cluster, agents_a, kv, "put", "stale=1",
-                                3 * sim::kSecond);
+                                3 * host::kSecond);
   EXPECT_NE(stale, vr::TxnOutcome::kCommitted);
 
   // Meanwhile the real primary commits fine.
@@ -86,7 +86,7 @@ TEST(MultiPrimary, StalePrimaryStaysActiveButCannotCommit) {
 
   cluster.network().Heal();
   ASSERT_TRUE(cluster.RunUntilStable());
-  cluster.RunFor(2 * sim::kSecond);
+  cluster.RunFor(2 * host::kSecond);
   EXPECT_EQ(test::CommittedValue(cluster, kv, "stale"), "");
   EXPECT_EQ(test::CommittedValue(cluster, kv, "ok"), "1");
 }
@@ -113,30 +113,30 @@ TEST(Queries, LostAbortIsRecoveredByJanitor) {
   sim::Scheduler* sched = &cluster.sim().scheduler();
   bool done = false;
   coord->SpawnTransaction(
-      [kv, sched](core::TxnHandle& h) -> sim::Task<bool> {
+      [kv, sched](core::TxnHandle& h) -> host::Task<bool> {
         co_await h.Call(kv, "put", std::string("locked=1"));
-        co_await sim::Sleep(*sched, 50 * sim::kMillisecond);
+        co_await host::Sleep(*sched, 50 * host::kMillisecond);
         co_return false;  // abort — but the abort message will be lost
       },
       [&](vr::TxnOutcome o) {
         done = true;
         EXPECT_EQ(o, vr::TxnOutcome::kAborted);
       });
-  cluster.sim().scheduler().After(20 * sim::kMillisecond, [&] {
+  cluster.sim().scheduler().After(20 * host::kMillisecond, [&] {
     cluster.network().SetLinkDown(coord->mid(), server_primary->mid(), true);
   });
-  while (!done) cluster.RunFor(5 * sim::kMillisecond);
+  while (!done) cluster.RunFor(5 * host::kMillisecond);
 
   // The write lock on "locked" is stranded at the server. The janitor
   // queries the coordinator group (its backups are reachable and know the
   // aborted outcome from the event record) and frees it.
-  cluster.RunFor(3 * sim::kSecond);
+  cluster.RunFor(3 * host::kSecond);
   cluster.network().SetLinkDown(coord->mid(), server_primary->mid(), false);
 
   auto outcome = test::RunOneCallWithRetry(cluster, agents, kv, "put",
                                            "locked=2");
   EXPECT_EQ(outcome, vr::TxnOutcome::kCommitted);
-  cluster.RunFor(1 * sim::kSecond);
+  cluster.RunFor(1 * host::kSecond);
   EXPECT_EQ(test::CommittedValue(cluster, kv, "locked"), "2");
 }
 
@@ -154,7 +154,7 @@ vr::TxnOutcome ReadOnlyAcrossPartition(bool force_read_only) {
   // Fixed one-way delay so the race window is deterministic: T1's reply
   // (call + reply = 600us) must beat the partition, while the completed-call
   // record (flush 500us after execution, delivered at ~1.1ms) must not.
-  opts.net.delay_min = opts.net.delay_max = 300 * sim::kMicrosecond;
+  opts.net.delay_min = opts.net.delay_max = 300 * host::kMicrosecond;
   Cluster cluster(opts);
   auto kv = cluster.AddGroup("kv", 3);
   auto agents_a = cluster.AddGroup("agents-a", 3);
@@ -171,11 +171,11 @@ vr::TxnOutcome ReadOnlyAcrossPartition(bool force_read_only) {
       vr::TxnOutcome::kCommitted) {
     return vr::TxnOutcome::kUnknown;
   }
-  cluster.RunFor(300 * sim::kMillisecond);
+  cluster.RunFor(300 * host::kMillisecond);
 
   core::Cohort* old_primary = cluster.AnyPrimary(kv);
   // Slow to notice, as in §4.1.
-  old_primary->mutable_options().liveness_timeout = 60 * sim::kSecond;
+  old_primary->mutable_options().liveness_timeout = 60 * host::kSecond;
   sim::Scheduler* sched = &cluster.sim().scheduler();
 
   // T1 (at agents-a): READ x, think 3s, then prepare/commit — a read-only
@@ -183,9 +183,9 @@ vr::TxnOutcome ReadOnlyAcrossPartition(bool force_read_only) {
   vr::TxnOutcome t1_outcome = vr::TxnOutcome::kUnknown;
   bool t1_done = false;
   cluster.AnyPrimary(agents_a)->SpawnTransaction(
-      [kv, sched](core::TxnHandle& h) -> sim::Task<bool> {
+      [kv, sched](core::TxnHandle& h) -> host::Task<bool> {
         co_await h.Call(kv, "get", std::string("x"));
-        co_await sim::Sleep(*sched, 3 * sim::kSecond);
+        co_await host::Sleep(*sched, 3 * host::kSecond);
         co_return true;
       },
       [&](vr::TxnOutcome o) {
@@ -195,7 +195,7 @@ vr::TxnOutcome ReadOnlyAcrossPartition(bool force_read_only) {
   // T1's read executes at ~600us and its reply arrives at ~900us; the
   // completed-call record would reach the backups at ~1.4ms. Partition at
   // 1ms: the read-lock record dies with the old side.
-  cluster.RunFor(1 * sim::kMillisecond);
+  cluster.RunFor(1 * host::kMillisecond);
 
   // Partition: {old primary + agents-a} vs {backups + agents-b}.
   std::vector<net::NodeId> side_a{old_primary->mid()};
@@ -209,15 +209,15 @@ vr::TxnOutcome ReadOnlyAcrossPartition(bool force_read_only) {
 
   // Majority side elects a new primary where T1's read lock never existed;
   // T2 writes x and commits — conflicting with T1's (lost) read lock.
-  cluster.RunFor(1500 * sim::kMillisecond);
+  cluster.RunFor(1500 * host::kMillisecond);
   EXPECT_EQ(test::RunOneCallWithRetry(cluster, agents_b, kv, "put",
                                       "x=overwritten"),
             vr::TxnOutcome::kCommitted);
 
   // T1 now prepares at the STALE primary.
-  const sim::Time deadline = cluster.sim().Now() + 10 * sim::kSecond;
+  const host::Time deadline = cluster.sim().Now() + 10 * host::kSecond;
   while (!t1_done && cluster.sim().Now() < deadline) {
-    cluster.RunFor(10 * sim::kMillisecond);
+    cluster.RunFor(10 * host::kMillisecond);
   }
   cluster.network().Heal();
   return t1_outcome;
@@ -256,7 +256,7 @@ TEST(Dedup, RetransmittedCallIsAnsweredNotReExecuted) {
       ++committed;
     }
   }
-  cluster.RunFor(1 * sim::kSecond);
+  cluster.RunFor(1 * host::kSecond);
   EXPECT_EQ(test::CommittedValue(cluster, kv, "ctr"),
             std::to_string(committed));
   // And duplicates actually hit the suppression path.
@@ -288,7 +288,7 @@ TEST(Replication, OutOfOrderBatchesRecoverViaGapRequests) {
       ++committed;
     }
   }
-  cluster.RunFor(2 * sim::kSecond);
+  cluster.RunFor(2 * host::kSecond);
   ASSERT_GT(committed, 0);
   EXPECT_EQ(test::CommittedValue(cluster, kv, "ctr"),
             std::to_string(committed));
@@ -318,8 +318,8 @@ TEST(Dedup, DuplicatePrepareIsAnsweredIdempotently) {
   // Wide jitter: the duplicate's independent delay draw often lands it long
   // after the original's prepare finished — the re-answer path, not the
   // in-flight drop.
-  opts.net.delay_min = 300 * sim::kMicrosecond;
-  opts.net.delay_max = 15 * sim::kMillisecond;
+  opts.net.delay_min = 300 * host::kMicrosecond;
+  opts.net.delay_max = 15 * host::kMillisecond;
   Cluster cluster(opts);
   auto kv = cluster.AddGroup("kv", 3);
   auto agents = cluster.AddGroup("agents", 3);
@@ -334,7 +334,7 @@ TEST(Dedup, DuplicatePrepareIsAnsweredIdempotently) {
       ++committed;
     }
   }
-  cluster.RunFor(1 * sim::kSecond);
+  cluster.RunFor(1 * host::kSecond);
   EXPECT_EQ(test::CommittedValue(cluster, kv, "ctr"),
             std::to_string(committed));
   std::uint64_t dup_answered = 0, aborts = 0;
@@ -354,7 +354,7 @@ TEST(Replication, AckCoalescingReducesAckFramesWithoutLosingCommits) {
   // and the primaries' ack processing — drops per committed transaction.
   constexpr int kRounds = 5;
   constexpr int kPipelined = 8;
-  auto run = [&](sim::Duration coalesce) {
+  auto run = [&](host::Duration coalesce) {
     ClusterOptions opts;
     opts.seed = 96;
     opts.cohort.ack_coalesce_delay = coalesce;
@@ -377,7 +377,7 @@ TEST(Replication, AckCoalescingReducesAckFramesWithoutLosingCommits) {
       int done = 0;
       for (int i = 0; i < kPipelined; ++i) {
         primary->SpawnTransaction(
-            [kv, i](core::TxnHandle& h) -> sim::Task<bool> {
+            [kv, i](core::TxnHandle& h) -> host::Task<bool> {
               co_await h.Call(kv, "add", "k" + std::to_string(i) + "=1");
               co_return true;
             },
@@ -386,13 +386,13 @@ TEST(Replication, AckCoalescingReducesAckFramesWithoutLosingCommits) {
               if (o == vr::TxnOutcome::kCommitted) ++committed_per_key[i];
             });
       }
-      const sim::Time deadline = cluster.sim().Now() + 5 * sim::kSecond;
+      const host::Time deadline = cluster.sim().Now() + 5 * host::kSecond;
       while (done < kPipelined && cluster.sim().Now() < deadline) {
-        cluster.RunFor(10 * sim::kMillisecond);
+        cluster.RunFor(10 * host::kMillisecond);
       }
       EXPECT_EQ(done, kPipelined) << "round " << round;
     }
-    cluster.RunFor(2 * sim::kSecond);
+    cluster.RunFor(2 * host::kSecond);
 
     int committed = 0;
     for (int i = 0; i < kPipelined; ++i) {
@@ -418,7 +418,7 @@ TEST(Replication, AckCoalescingReducesAckFramesWithoutLosingCommits) {
   };
 
   const auto eager = run(0);
-  const auto lazy = run(2 * sim::kMillisecond);
+  const auto lazy = run(2 * host::kMillisecond);
   ASSERT_GT(eager.committed, kRounds * kPipelined / 2);
   ASSERT_GT(lazy.committed, kRounds * kPipelined / 2);
   EXPECT_EQ(eager.coalesced, 0u);
@@ -445,13 +445,13 @@ TEST(Prepare, ViewChangeInOneShardRefusesPrepareAndAbortsEverywhere) {
   // Fixed one-way delay so the race window is deterministic: the deposit's
   // reply is back at ~1.2ms but its completed-call record only flushes at
   // ~1.4ms — partitioning at 1.3ms strands the record at the old primary.
-  opts.net.delay_min = opts.net.delay_max = 300 * sim::kMicrosecond;
+  opts.net.delay_min = opts.net.delay_max = 300 * host::kMicrosecond;
   Cluster cluster(opts);
   auto bank = workload::SetupShardedBank(cluster, 2, 3, 10);
   cluster.Start();
   ASSERT_TRUE(cluster.RunUntilStable());
   ASSERT_EQ(workload::FundShardedAccounts(cluster, bank, 100), 10);
-  cluster.RunFor(300 * sim::kMillisecond);
+  cluster.RunFor(300 * host::kMillisecond);
 
   const vr::GroupId g0 = bank.shards[0];  // owns a000..a004
   const vr::GroupId g1 = bank.shards[1];  // owns a005..a009
@@ -464,11 +464,11 @@ TEST(Prepare, ViewChangeInOneShardRefusesPrepareAndAbortsEverywhere) {
   bool done = false;
   cluster.AnyPrimary(bank.client_group)
       ->SpawnTransaction(
-          [g0, g1, sched](core::TxnHandle& h) -> sim::Task<bool> {
+          [g0, g1, sched](core::TxnHandle& h) -> host::Task<bool> {
             co_await h.Call(g0, "withdraw", std::string("a000=5"));
             co_await h.Call(g1, "deposit", std::string("a005=5"));
             // Think long enough for the stranded group to change views.
-            co_await sim::Sleep(*sched, 3 * sim::kSecond);
+            co_await host::Sleep(*sched, 3 * host::kSecond);
             co_return true;
           },
           [&](vr::TxnOutcome o) {
@@ -477,7 +477,7 @@ TEST(Prepare, ViewChangeInOneShardRefusesPrepareAndAbortsEverywhere) {
           });
 
   // Both calls have replied by 1.2ms; the deposit record flushes at 1.4ms.
-  cluster.RunFor(1300 * sim::kMicrosecond);
+  cluster.RunFor(1300 * host::kMicrosecond);
   std::vector<net::NodeId> rest;
   for (auto g : cluster.AllGroups()) {
     for (auto* c : cluster.Cohorts(g)) {
@@ -486,9 +486,9 @@ TEST(Prepare, ViewChangeInOneShardRefusesPrepareAndAbortsEverywhere) {
   }
   cluster.network().Partition({{b_primary->mid()}, rest});
 
-  const sim::Time deadline = cluster.sim().Now() + 20 * sim::kSecond;
+  const host::Time deadline = cluster.sim().Now() + 20 * host::kSecond;
   while (!done && cluster.sim().Now() < deadline) {
-    cluster.RunFor(10 * sim::kMillisecond);
+    cluster.RunFor(10 * host::kMillisecond);
   }
   ASSERT_TRUE(done);
   // The shard-1 view changed underneath the transaction, its entry failed
@@ -504,7 +504,7 @@ TEST(Prepare, ViewChangeInOneShardRefusesPrepareAndAbortsEverywhere) {
 
   cluster.network().Heal();
   ASSERT_TRUE(cluster.RunUntilStable());
-  cluster.RunFor(3 * sim::kSecond);
+  cluster.RunFor(3 * host::kSecond);
 
   // Atomicity: neither leg's effect survived.
   EXPECT_EQ(workload::ShardedCommittedBalance(cluster, "a000"), 100);
@@ -524,7 +524,7 @@ TEST(Prepare, ViewChangeInOneShardRefusesPrepareAndAbortsEverywhere) {
     core::Cohort* coord = cluster.AnyPrimary(bank.client_group);
     ASSERT_NE(coord, nullptr);
     coord->SpawnTransaction(
-        [g0, g1](core::TxnHandle& h) -> sim::Task<bool> {
+        [g0, g1](core::TxnHandle& h) -> host::Task<bool> {
           co_await h.Call(g0, "withdraw", std::string("a000=5"));
           co_await h.Call(g1, "deposit", std::string("a005=5"));
           co_return true;
@@ -533,14 +533,14 @@ TEST(Prepare, ViewChangeInOneShardRefusesPrepareAndAbortsEverywhere) {
           outcome2 = o;
           done2 = true;
         });
-    const sim::Time deadline2 = cluster.sim().Now() + 20 * sim::kSecond;
+    const host::Time deadline2 = cluster.sim().Now() + 20 * host::kSecond;
     while (!done2 && cluster.sim().Now() < deadline2) {
-      cluster.RunFor(10 * sim::kMillisecond);
+      cluster.RunFor(10 * host::kMillisecond);
     }
     ASSERT_TRUE(done2);
   }
   EXPECT_EQ(outcome2, vr::TxnOutcome::kCommitted);
-  cluster.RunFor(1 * sim::kSecond);
+  cluster.RunFor(1 * host::kSecond);
   EXPECT_EQ(workload::ShardedCommittedBalance(cluster, "a000"), 95);
   EXPECT_EQ(workload::ShardedCommittedBalance(cluster, "a005"), 105);
 }
@@ -607,7 +607,7 @@ TEST(CommitFusion, FusedAndSerialPathsAgreeOnCrossShardTransfers) {
         },
         dopts);
     ASSERT_TRUE(driver.Run()) << "fusion=" << fusion;
-    cluster.RunFor(2 * sim::kSecond);
+    cluster.RunFor(2 * host::kSecond);
 
     EXPECT_GT(driver.accounting().committed, 0u) << "fusion=" << fusion;
     EXPECT_EQ(driver.accounting().unknown, 0u) << "fusion=" << fusion;
@@ -656,9 +656,9 @@ TEST(CommitFusion, CoordinatorCrashBeforeCommitFanoutResolvesCommitted) {
         outcome = o;
         done = true;
       });
-  const sim::Time deadline = cluster.sim().Now() + 10 * sim::kSecond;
+  const host::Time deadline = cluster.sim().Now() + 10 * host::kSecond;
   while (!done && cluster.sim().Now() < deadline) {
-    cluster.RunFor(100 * sim::kMicrosecond);
+    cluster.RunFor(100 * host::kMicrosecond);
   }
   ASSERT_TRUE(done);
   // Fused: committed is reported at buffer time, before any participant
@@ -668,16 +668,16 @@ TEST(CommitFusion, CoordinatorCrashBeforeCommitFanoutResolvesCommitted) {
   EXPECT_EQ(workload::ShardedCommittedBalance(cluster, "a000"), 100);
 
   // Let the decision force reach the coordinator's backups, then kill it.
-  cluster.RunFor(2 * sim::kMillisecond);
+  cluster.RunFor(2 * host::kMillisecond);
   coord->Crash();
 
   // Participants hold prepared transactions with no coordinator primary.
   // Their janitors query; the coordinator group view-changes; the new
   // primary answers from the replicated committing record.
-  const sim::Time resolve_deadline = cluster.sim().Now() + 30 * sim::kSecond;
+  const host::Time resolve_deadline = cluster.sim().Now() + 30 * host::kSecond;
   while (cluster.sim().Now() < resolve_deadline &&
          workload::ShardedCommittedBalance(cluster, "a004") != 107) {
-    cluster.RunFor(50 * sim::kMillisecond);
+    cluster.RunFor(50 * host::kMillisecond);
   }
   EXPECT_EQ(workload::ShardedCommittedBalance(cluster, "a000"), 93);
   EXPECT_EQ(workload::ShardedCommittedBalance(cluster, "a004"), 107);
@@ -687,9 +687,9 @@ TEST(CommitFusion, CoordinatorCrashBeforeCommitFanoutResolvesCommitted) {
   // change (backups answer queries from the replicated record directly);
   // wait for the new view separately.
   core::Cohort* new_coord = nullptr;
-  const sim::Time view_deadline = cluster.sim().Now() + 20 * sim::kSecond;
+  const host::Time view_deadline = cluster.sim().Now() + 20 * host::kSecond;
   while (new_coord == nullptr && cluster.sim().Now() < view_deadline) {
-    cluster.RunFor(100 * sim::kMillisecond);
+    cluster.RunFor(100 * host::kMillisecond);
     new_coord = cluster.AnyPrimary(bank.client_group);
   }
   ASSERT_NE(new_coord, nullptr);
@@ -744,22 +744,22 @@ TEST(CommitFusion, CoordinatorCrashMidFanoutNeverOrphansPrepared) {
         // in flight and will be dropped at delivery (receiver down).
         b_primary->Crash();
       });
-  const sim::Time deadline = cluster.sim().Now() + 10 * sim::kSecond;
+  const host::Time deadline = cluster.sim().Now() + 10 * host::kSecond;
   while (!done && cluster.sim().Now() < deadline) {
-    cluster.RunFor(100 * sim::kMicrosecond);
+    cluster.RunFor(100 * host::kMicrosecond);
   }
   ASSERT_TRUE(done);
   EXPECT_EQ(outcome, vr::TxnOutcome::kCommitted);
 
   // Shard 0's commit copy lands; then the coordinator primary dies before
   // any retransmission to shard 1 can fire.
-  cluster.RunFor(2 * sim::kMillisecond);
+  cluster.RunFor(2 * host::kMillisecond);
   coord->Crash();
 
-  const sim::Time resolve_deadline = cluster.sim().Now() + 40 * sim::kSecond;
+  const host::Time resolve_deadline = cluster.sim().Now() + 40 * host::kSecond;
   while (cluster.sim().Now() < resolve_deadline &&
          workload::ShardedCommittedBalance(cluster, "a004") != 11) {
-    cluster.RunFor(50 * sim::kMillisecond);
+    cluster.RunFor(50 * host::kMillisecond);
   }
   // The prepared transaction at shard 1 survived its primary's crash (the
   // prepare force put it on a sub-majority of backups) and resolved to
@@ -777,7 +777,7 @@ TEST(CommitFusion, CoordinatorCrashMidFanoutNeverOrphansPrepared) {
   // The crashed shard-1 primary rejoins cleanly behind the commit.
   cluster.Recover(bank.shards[1], b_idx);
   ASSERT_TRUE(cluster.RunUntilStable());
-  cluster.RunFor(3 * sim::kSecond);
+  cluster.RunFor(3 * host::kSecond);
   EXPECT_TRUE(check::CheckConservation(cluster, BankAccounts(8), 64).empty());
 }
 
@@ -814,7 +814,7 @@ TEST(CommitFusion, DuplicatedLossyNetworkKeepsFusedCommitsExactlyOnce) {
       },
       dopts);
   ASSERT_TRUE(driver.Run());
-  cluster.RunFor(3 * sim::kSecond);
+  cluster.RunFor(3 * host::kSecond);
 
   EXPECT_GT(driver.accounting().committed, 0u);
   EXPECT_TRUE(
@@ -851,7 +851,7 @@ TEST(Queries, PartitionedParticipantResolvesViaSiblings) {
   // Stretch the decision coalesce window so the commit fan-out provably
   // happens after the link cut below; only the retry path (direct sends)
   // can deliver the decision, and those the cut blocks toward shard 1.
-  coord->mutable_options().decision_coalesce_delay = 5 * sim::kSecond;
+  coord->mutable_options().decision_coalesce_delay = 5 * host::kSecond;
 
   client::ShardRouter router(cluster.directory());
   vr::TxnOutcome outcome = vr::TxnOutcome::kUnknown;
@@ -862,9 +862,9 @@ TEST(Queries, PartitionedParticipantResolvesViaSiblings) {
         outcome = o;
         done = true;
       });
-  const sim::Time deadline = cluster.sim().Now() + 10 * sim::kSecond;
+  const host::Time deadline = cluster.sim().Now() + 10 * host::kSecond;
   while (!done && cluster.sim().Now() < deadline) {
-    cluster.RunFor(100 * sim::kMicrosecond);
+    cluster.RunFor(100 * host::kMicrosecond);
   }
   ASSERT_TRUE(done);
   ASSERT_EQ(outcome, vr::TxnOutcome::kCommitted);  // fused, reported at buffer
@@ -883,10 +883,10 @@ TEST(Queries, PartitionedParticipantResolvesViaSiblings) {
   // Shard 0 learns the decision from the coordinator's commit retries;
   // shard 1's janitor queries the coordinator group (dead air), then falls
   // back to its pset sibling — shard 0 — and resolves committed. No heal.
-  const sim::Time resolve_deadline = cluster.sim().Now() + 60 * sim::kSecond;
+  const host::Time resolve_deadline = cluster.sim().Now() + 60 * host::kSecond;
   while (cluster.sim().Now() < resolve_deadline &&
          workload::ShardedCommittedBalance(cluster, "a004") != 107) {
-    cluster.RunFor(100 * sim::kMillisecond);
+    cluster.RunFor(100 * host::kMillisecond);
   }
   EXPECT_EQ(workload::ShardedCommittedBalance(cluster, "a000"), 93);
   EXPECT_EQ(workload::ShardedCommittedBalance(cluster, "a004"), 107);
@@ -928,9 +928,9 @@ std::optional<vr::BackupReadReplyMsg> OneDirectRead(
   cluster.network().Send(from, to,
                          static_cast<std::uint16_t>(vr::MsgType::kBackupRead),
                          vr::EncodeMsg(m));
-  const sim::Time deadline = cluster.sim().Now() + 1 * sim::kSecond;
+  const host::Time deadline = cluster.sim().Now() + 1 * host::kSecond;
   while (cluster.sim().Now() < deadline) {
-    cluster.RunFor(1 * sim::kMillisecond);
+    cluster.RunFor(1 * host::kMillisecond);
     for (auto& r : capture.replies) {
       if (r.corr == m.corr) return r;
     }
@@ -953,7 +953,7 @@ TEST(Leases, StaleLeaseNeverServesASessionFromTheFuture) {
   opts.cohort.backup_reads = true;
   // Long lease: with the default 60ms lease the refusals below would also
   // be explainable by timer expiry. At 60s only the view pin can refuse.
-  opts.cohort.read_lease_duration = 60 * sim::kSecond;
+  opts.cohort.read_lease_duration = 60 * host::kSecond;
   Cluster cluster(opts);
   // Five kv replicas: after isolating the straggler and crashing the old
   // primary, the remaining three are still a majority and form a new view.
@@ -968,10 +968,10 @@ TEST(Leases, StaleLeaseNeverServesASessionFromTheFuture) {
   // simulated seconds (duration/8), so space them past that interval.
   ASSERT_EQ(test::RunOneCall(cluster, agents, kv, "put", "x=old"),
             vr::TxnOutcome::kCommitted);
-  cluster.RunFor(8 * sim::kSecond);
+  cluster.RunFor(8 * host::kSecond);
   ASSERT_EQ(test::RunOneCall(cluster, agents, kv, "put", "pad=1"),
             vr::TxnOutcome::kCommitted);
-  cluster.RunFor(20 * sim::kMillisecond);
+  cluster.RunFor(20 * host::kMillisecond);
 
   ReadReplyCapture capture;
   const vr::Mid test_mid = cluster.AllocateMid();
@@ -999,7 +999,7 @@ TEST(Leases, StaleLeaseNeverServesASessionFromTheFuture) {
   // Isolate the lease-holding straggler from its group and the agents (the
   // test mid keeps its links, so we can still probe it), and keep it from
   // churning into view formation on its own.
-  straggler->mutable_options().liveness_timeout = 600 * sim::kSecond;
+  straggler->mutable_options().liveness_timeout = 600 * host::kSecond;
   for (auto* c : cluster.Cohorts(kv)) {
     if (c != straggler) {
       cluster.network().SetLinkDown(straggler->mid(), c->mid(), true);
@@ -1013,9 +1013,9 @@ TEST(Leases, StaleLeaseNeverServesASessionFromTheFuture) {
   // view the straggler never hears about, and commit a newer x there.
   cluster.Crash(kv, primary_idx);
   core::Cohort* new_primary = nullptr;
-  const sim::Time deadline = cluster.sim().Now() + 30 * sim::kSecond;
+  const host::Time deadline = cluster.sim().Now() + 30 * host::kSecond;
   while (cluster.sim().Now() < deadline) {
-    cluster.RunFor(100 * sim::kMillisecond);
+    cluster.RunFor(100 * host::kMillisecond);
     new_primary = cluster.AnyPrimary(kv);
     if (new_primary != nullptr && new_primary != straggler &&
         new_primary->cur_viewid() > old_view) {
@@ -1067,12 +1067,12 @@ TEST(Leases, StaleLeaseNeverServesASessionFromTheFuture) {
   }
   ASSERT_TRUE(cluster.RunUntilStable());
   std::optional<vr::BackupReadReplyMsg> healed;
-  const sim::Time heal_deadline = cluster.sim().Now() + 20 * sim::kSecond;
+  const host::Time heal_deadline = cluster.sim().Now() + 20 * host::kSecond;
   while (cluster.sim().Now() < heal_deadline) {
     healed = OneDirectRead(cluster, capture, test_mid, straggler->mid(), kv,
                            "x", at_new->served_vs);
     if (healed && healed->status == vr::ReadStatus::kOk) break;
-    cluster.RunFor(500 * sim::kMillisecond);
+    cluster.RunFor(500 * host::kMillisecond);
   }
   ASSERT_TRUE(healed.has_value());
   ASSERT_EQ(healed->status, vr::ReadStatus::kOk);

@@ -44,13 +44,13 @@ class EventLogTest : public ::testing::Test {
 
   static StableStoreOptions StoreOptions() {
     StableStoreOptions o;
-    o.force_latency = 10 * sim::kMillisecond;
+    o.force_latency = 10 * host::kMillisecond;
     return o;
   }
   static EventLogOptions LogOptions() {
     EventLogOptions o;
     o.enabled = true;
-    o.flush_interval = 5 * sim::kMillisecond;
+    o.flush_interval = 5 * host::kMillisecond;
     o.max_batch = 256;
     o.max_batch_bytes = 64 * 1024;
     return o;
@@ -104,7 +104,7 @@ TEST_F(EventLogTest, CrashMidGroupCommitLosesOnlyTheTail) {
 
   log->Append(2, {2});
   log->Append(2, {3});
-  sim_.scheduler().RunUntil(sim_.Now() + 6 * sim::kMillisecond);
+  sim_.scheduler().RunUntil(sim_.Now() + 6 * host::kMillisecond);
   // Group commit fired (segment 3 issued) but force_latency has not elapsed.
   log->Crash();
   store_.DropPending(7);
@@ -142,7 +142,7 @@ TEST_F(EventLogTest, TornSegmentRejectedWholesale) {
   Settle();  // segments 1..2 durable
 
   log->Append(2, std::vector<std::uint8_t>(40, 0x22));
-  sim_.scheduler().RunUntil(sim_.Now() + 6 * sim::kMillisecond);
+  sim_.scheduler().RunUntil(sim_.Now() + 6 * host::kMillisecond);
   log->Crash();  // segment 3's force in flight -> torn half persists
   store_.DropPending(7);
   Settle();
@@ -323,13 +323,13 @@ core::CohortOptions LoggedOptions() {
 
 // Group-commit interval + force latency + slack: after this long, every
 // acknowledged record is durable in the local log.
-constexpr sim::Duration kLogSettle = 100 * sim::kMillisecond;
+constexpr host::Duration kLogSettle = 100 * host::kMillisecond;
 
 TEST(Recovery, RecoveredBackupRejoinsViaRecordStream) {
   core::CohortOptions opts = LoggedOptions();
   // No elections while the backup is down, and no GC past its watermark:
   // the rejoin must be served from the record stream, not a snapshot.
-  opts.liveness_timeout = 60 * sim::kSecond;
+  opts.liveness_timeout = 60 * host::kSecond;
   opts.buffer.window = 1024;
   Cluster cluster(ClusterOptions{.seed = 211});
   auto kv = cluster.AddGroup("kv", 3, &opts);
@@ -360,7 +360,7 @@ TEST(Recovery, RecoveredBackupRejoinsViaRecordStream) {
               vr::TxnOutcome::kCommitted);
   }
   backup.Recover();
-  cluster.RunFor(2 * sim::kSecond);
+  cluster.RunFor(2 * host::kSecond);
 
   // Replayed locally, rejoined the SAME view, and caught up on the tail —
   // no view change, no snapshot.
@@ -383,7 +383,7 @@ TEST(Recovery, RecoveredBackupRejoinsViaRecordStream) {
   // Still a working group, and the rejoined backup keeps following.
   ASSERT_EQ(RunOneCallWithRetry(cluster, client_g, kv, "put", "post=1"),
             vr::TxnOutcome::kCommitted);
-  cluster.RunFor(500 * sim::kMillisecond);
+  cluster.RunFor(500 * host::kMillisecond);
   EXPECT_EQ(backup.objects().ReadCommitted("post").value_or(""), "1");
   for (const std::string& v : check::CheckQuiescent(cluster, kv)) {
     ADD_FAILURE() << v;
@@ -392,7 +392,7 @@ TEST(Recovery, RecoveredBackupRejoinsViaRecordStream) {
 
 TEST(Recovery, RejoinBelowGcFloorFallsBackToSnapshot) {
   core::CohortOptions opts = LoggedOptions();
-  opts.liveness_timeout = 60 * sim::kSecond;
+  opts.liveness_timeout = 60 * host::kSecond;
   opts.buffer.window = 8;  // small: the missed tail is GC'd quickly
   opts.snapshot.chunk_size = 256;
   Cluster cluster(ClusterOptions{.seed = 212});
@@ -415,12 +415,12 @@ TEST(Recovery, RejoinBelowGcFloorFallsBackToSnapshot) {
                                       std::to_string(i)),
               vr::TxnOutcome::kCommitted);
   }
-  cluster.RunFor(200 * sim::kMillisecond);
+  cluster.RunFor(200 * host::kMillisecond);
   ASSERT_LT(backup.applied_ts(), primary.buffer().base_ts())
       << "setup: the tail must have been GC'd past the crashed watermark";
 
   backup.Recover();
-  cluster.RunFor(3 * sim::kSecond);
+  cluster.RunFor(3 * host::kSecond);
 
   EXPECT_EQ(backup.stats().log_recoveries, 1u);
   EXPECT_GE(backup.stats().snapshots_installed, 1u);
@@ -441,7 +441,7 @@ TEST(Recovery, RejoinBelowGcFloorFallsBackToSnapshot) {
 
 TEST(Recovery, RejoinSurvivesTwentyPercentLoss) {
   core::CohortOptions opts = LoggedOptions();
-  opts.liveness_timeout = 60 * sim::kSecond;
+  opts.liveness_timeout = 60 * host::kSecond;
   opts.buffer.window = 1024;
   Cluster cluster(ClusterOptions{.seed = 213});
   auto kv = cluster.AddGroup("kv", 3, &opts);
@@ -476,10 +476,10 @@ TEST(Recovery, RejoinSurvivesTwentyPercentLoss) {
   lossy.loss_probability = 0.2;
   cluster.network().set_options(lossy);
   backup.Recover();
-  cluster.RunFor(5 * sim::kSecond);
+  cluster.RunFor(5 * host::kSecond);
   lossy.loss_probability = 0.0;
   cluster.network().set_options(lossy);
-  cluster.RunFor(1 * sim::kSecond);
+  cluster.RunFor(1 * host::kSecond);
 
   EXPECT_EQ(backup.stats().log_recoveries, 1u);
   EXPECT_EQ(backup.applied_ts(), primary.buffer().last_ts());
@@ -524,18 +524,18 @@ TEST(Recovery, RecoverDuringInProgressViewChange) {
     if (i != pi) cluster.Crash(kv, i);
   }
   // Let the failure detector fire and the formation attempts start failing.
-  cluster.RunFor(1 * sim::kSecond);
+  cluster.RunFor(1 * host::kSecond);
   ASSERT_EQ(cluster.AnyPrimary(kv), nullptr);
   ASSERT_NE(primary.status(), core::Status::kActive);
 
   cluster.Recover(kv, (pi + 1) % 3);
-  ASSERT_TRUE(cluster.RunUntilStable(10 * sim::kSecond));
+  ASSERT_TRUE(cluster.RunUntilStable(10 * host::kSecond));
   core::Cohort* np = cluster.AnyPrimary(kv);
   ASSERT_NE(np, nullptr);
   EXPECT_GT(np->cur_viewid(), viewid);
   EXPECT_EQ(cluster.CohortAt(kv, (pi + 1) % 3).stats().log_recoveries, 1u);
 
-  cluster.RunFor(500 * sim::kMillisecond);
+  cluster.RunFor(500 * host::kMillisecond);
   for (int i : {0, 5, 9}) {
     EXPECT_EQ(test::CommittedValue(cluster, kv, "k" + std::to_string(i)),
               "v" + std::to_string(i));
@@ -570,7 +570,7 @@ TEST(Recovery, FullMajorityStormSurvivesWithDurableLogs) {
   for (std::size_t i = 0; i < 3; ++i) cluster.Crash(kv, i);
   for (std::size_t i = 0; i < 3; ++i) cluster.Recover(kv, i);
 
-  ASSERT_TRUE(cluster.RunUntilStable(10 * sim::kSecond));
+  ASSERT_TRUE(cluster.RunUntilStable(10 * host::kSecond));
   core::Cohort* np = cluster.AnyPrimary(kv);
   ASSERT_NE(np, nullptr);
   EXPECT_GT(np->cur_viewid(), viewid);
@@ -578,7 +578,7 @@ TEST(Recovery, FullMajorityStormSurvivesWithDurableLogs) {
     EXPECT_EQ(c->stats().log_recoveries, 1u) << "cohort " << c->mid();
   }
 
-  cluster.RunFor(500 * sim::kMillisecond);
+  cluster.RunFor(500 * host::kMillisecond);
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(test::CommittedValue(cluster, kv, "k" + std::to_string(i)),
               "v" + std::to_string(i))
@@ -586,7 +586,7 @@ TEST(Recovery, FullMajorityStormSurvivesWithDurableLogs) {
   }
   EXPECT_EQ(RunOneCallWithRetry(cluster, client_g, kv, "put", "post=1"),
             vr::TxnOutcome::kCommitted);
-  cluster.RunFor(500 * sim::kMillisecond);
+  cluster.RunFor(500 * host::kMillisecond);
   for (const std::string& v : check::CheckQuiescent(cluster, kv)) {
     ADD_FAILURE() << v;
   }
@@ -612,7 +612,7 @@ TEST(Recovery, MixedDisklessStormRemainsCatastrophic) {
   cluster.Recover(kv, 1);
   cluster.RecoverDiskless(kv, 2);
 
-  EXPECT_FALSE(cluster.RunUntilStable(5 * sim::kSecond));
+  EXPECT_FALSE(cluster.RunUntilStable(5 * host::kSecond));
   EXPECT_EQ(cluster.AnyPrimary(kv), nullptr);
 }
 
@@ -625,7 +625,7 @@ TEST(Recovery, DisklessRecoveryOfAllIsStillSafe) {
   ASSERT_TRUE(cluster.RunUntilStable());
   for (std::size_t i = 0; i < 3; ++i) cluster.Crash(kv, i);
   for (std::size_t i = 0; i < 3; ++i) cluster.RecoverDiskless(kv, i);
-  EXPECT_FALSE(cluster.RunUntilStable(5 * sim::kSecond));
+  EXPECT_FALSE(cluster.RunUntilStable(5 * host::kSecond));
   EXPECT_EQ(cluster.AnyPrimary(kv), nullptr);
 }
 
@@ -645,7 +645,7 @@ TEST(StormSoak, RepeatedStormsStaySerializable) {
   auto client_g = cluster.AddGroup("client", 1);
   cluster.RegisterProc(
       kv, "rmw",
-      [](core::ProcContext& ctx) -> sim::Task<std::vector<std::uint8_t>> {
+      [](core::ProcContext& ctx) -> host::Task<std::vector<std::uint8_t>> {
         auto prev = co_await ctx.ReadForUpdate("r");
         co_await ctx.Write("r", ctx.ArgsAsString());
         co_return test::Bytes(prev.value_or(""));
@@ -668,7 +668,7 @@ TEST(StormSoak, RepeatedStormsStaySerializable) {
     };
     auto st = std::make_shared<State>();
     cp->SpawnTransaction(
-        [st, kv, value](core::TxnHandle& h) -> sim::Task<bool> {
+        [st, kv, value](core::TxnHandle& h) -> host::Task<bool> {
           auto r = co_await h.Call(kv, "rmw", value);
           st->prev = test::Str(r);
           st->have = true;
@@ -678,9 +678,9 @@ TEST(StormSoak, RepeatedStormsStaySerializable) {
           st->resolved = true;
           st->outcome = o;
         });
-    const sim::Time deadline = cluster.sim().Now() + 5 * sim::kSecond;
+    const host::Time deadline = cluster.sim().Now() + 5 * host::kSecond;
     while (!st->resolved && cluster.sim().Now() < deadline) {
-      cluster.RunFor(10 * sim::kMillisecond);
+      cluster.RunFor(10 * host::kMillisecond);
     }
     if (st->resolved && st->outcome == vr::TxnOutcome::kCommitted) {
       EXPECT_TRUE(st->have);
@@ -707,14 +707,14 @@ TEST(StormSoak, RepeatedStormsStaySerializable) {
 
     for (std::size_t i = 0; i < 3; ++i) cluster.Crash(kv, i);
     for (std::size_t i = 0; i < 3; ++i) cluster.Recover(kv, i);
-    ASSERT_TRUE(cluster.RunUntilStable(20 * sim::kSecond))
+    ASSERT_TRUE(cluster.RunUntilStable(20 * host::kSecond))
         << "storm " << storm << ": group never re-formed";
     for (const std::string& v : check::CheckInstant(cluster, kv)) {
       ADD_FAILURE() << "storm " << storm << ": " << v;
     }
   }
 
-  cluster.RunFor(2 * sim::kSecond);
+  cluster.RunFor(2 * host::kSecond);
   core::Cohort* p = cluster.AnyPrimary(kv);
   ASSERT_NE(p, nullptr);
   std::string why;

@@ -190,7 +190,9 @@ TEST(ShardPull, CopiesCommittedRangeAcrossGroups) {
     ok = o;
   });
   EXPECT_TRUE(dst->shard_pull_active());
-  for (int i = 0; i < 200 && !done; ++i) cluster.RunFor(10 * sim::kMillisecond);
+  for (int i = 0; i < 200 && !done; ++i) {
+    cluster.RunFor(10 * host::kMillisecond);
+  }
   ASSERT_TRUE(done);
   EXPECT_TRUE(ok);
   EXPECT_FALSE(dst->shard_pull_active());
@@ -206,7 +208,7 @@ TEST(ShardPull, CopiesCommittedRangeAcrossGroups) {
   EXPECT_GE(src->stats().shard_pulls_served, 1u);
 
   // The install was forced: the destination's eager backups hold it too.
-  cluster.RunFor(1 * sim::kSecond);
+  cluster.RunFor(1 * host::kSecond);
   for (auto* c : cluster.Cohorts(g2)) {
     if (c == dst || !c->options().eager_backup_apply) continue;
     if (c->cur_viewid() != dst->cur_viewid()) continue;
@@ -215,7 +217,7 @@ TEST(ShardPull, CopiesCommittedRangeAcrossGroups) {
 
   // Source-side GC.
   src->DropShard("", "");
-  cluster.RunFor(500 * sim::kMillisecond);
+  cluster.RunFor(500 * host::kMillisecond);
   EXPECT_FALSE(src->objects().ReadCommitted("k0").has_value());
   EXPECT_GE(src->stats().shard_ranges_dropped, 1u);
 }
@@ -247,7 +249,7 @@ TEST(ShardedBank, ThreeShardCrossShardTransfersConserveMoney) {
       },
       opts);
   ASSERT_TRUE(driver.Run());
-  cluster.RunFor(2 * sim::kSecond);
+  cluster.RunFor(2 * host::kSecond);
 
   EXPECT_GT(driver.accounting().committed, 0u);
   EXPECT_EQ(driver.accounting().unknown, 0u);
@@ -274,7 +276,7 @@ TEST(ShardedBank, WrongShardCallIsRejectedNotServed) {
   EXPECT_EQ(test::RunOneCall(cluster, bank.client_group, bank.shards[1],
                              "deposit", "a000=5"),
             vr::TxnOutcome::kAborted);
-  cluster.RunFor(500 * sim::kMillisecond);
+  cluster.RunFor(500 * host::kMillisecond);
   EXPECT_EQ(workload::ShardedCommittedBalance(cluster, "a000"), 50);
   EXPECT_EQ(workload::ShardedBankTotal(cluster, 10), 500);
 }
@@ -329,7 +331,7 @@ TEST(ShardedBank, LiveRebalanceUnderTrafficZeroLostOrDuplicated) {
 
   // Move shard 0's whole range to shard 2 while transfers stream.
   bool move_ok = false, move_done = false;
-  cluster.sim().scheduler().After(80 * sim::kMillisecond, [&] {
+  cluster.sim().scheduler().After(80 * host::kMillisecond, [&] {
     const core::ShardRange* r =
         cluster.directory().Route(ShardAccountName(0));
     ASSERT_NE(r, nullptr);
@@ -341,9 +343,9 @@ TEST(ShardedBank, LiveRebalanceUnderTrafficZeroLostOrDuplicated) {
 
   ASSERT_TRUE(driver.Run());
   for (int i = 0; i < 500 && !move_done; ++i) {
-    cluster.RunFor(10 * sim::kMillisecond);
+    cluster.RunFor(10 * host::kMillisecond);
   }
-  cluster.RunFor(2 * sim::kSecond);
+  cluster.RunFor(2 * host::kSecond);
 
   ASSERT_TRUE(move_done);
   EXPECT_TRUE(move_ok);
@@ -395,7 +397,7 @@ TEST(ShardedBank, RebalanceSurvivesCrashAndPartition) {
   ASSERT_NE(dst_p, nullptr);
   const auto dst_mid = dst_p->mid();
   dst_p->Crash();
-  cluster.sim().scheduler().After(50 * sim::kMillisecond, [&] {
+  cluster.sim().scheduler().After(50 * host::kMillisecond, [&] {
     core::Cohort* src_p = cluster.AnyPrimary(src_g);
     if (src_p == nullptr) return;
     std::vector<net::NodeId> rest;
@@ -406,23 +408,23 @@ TEST(ShardedBank, RebalanceSurvivesCrashAndPartition) {
     }
     cluster.network().Partition({{src_p->mid()}, rest});
   });
-  cluster.sim().scheduler().After(400 * sim::kMillisecond,
+  cluster.sim().scheduler().After(400 * host::kMillisecond,
                                   [&] { cluster.network().Heal(); });
-  cluster.sim().scheduler().After(600 * sim::kMillisecond, [&] {
+  cluster.sim().scheduler().After(600 * host::kMillisecond, [&] {
     for (auto* c : cluster.Cohorts(dst_g)) {
       if (c->mid() == dst_mid) c->Recover();
     }
   });
 
   for (int i = 0; i < 2000 && !move_done; ++i) {
-    cluster.RunFor(10 * sim::kMillisecond);
+    cluster.RunFor(10 * host::kMillisecond);
   }
   ASSERT_TRUE(move_done);
   EXPECT_TRUE(move_ok);
   EXPECT_EQ(cluster.directory().Route(ShardAccountName(0))->owner, dst_g);
 
   ASSERT_TRUE(cluster.RunUntilStable());
-  cluster.RunFor(2 * sim::kSecond);
+  cluster.RunFor(2 * host::kSecond);
   EXPECT_EQ(workload::ShardedBankTotal(cluster, 18), 1800);
   ASSERT_TRUE(check::CheckPlacement(cluster.directory()).empty());
   for (auto g : bank.shards) {
@@ -445,7 +447,7 @@ TEST(ShardedBank, WholeClusterOutageConservesMoneyAcrossShards) {
   opts.total_txns = 40;
   opts.max_inflight = 2;
   opts.retries_per_txn = 10;
-  opts.deadline = 300 * sim::kSecond;
+  opts.deadline = 300 * host::kSecond;
   workload::ClosedLoopDriver driver(
       cluster, bank.client_group,
       [&](std::uint64_t) {
@@ -465,12 +467,12 @@ TEST(ShardedBank, WholeClusterOutageConservesMoneyAcrossShards) {
       cluster,
       workload::WholeClusterOutage(topo,
                                    cluster.sim().Now() +
-                                       200 * sim::kMillisecond,
-                                   500 * sim::kMillisecond));
+                                       200 * host::kMillisecond,
+                                   500 * host::kMillisecond));
 
   driver.Run();  // some outcomes may be unknown across the blackout
-  ASSERT_TRUE(cluster.RunUntilStable(30 * sim::kSecond));
-  cluster.RunFor(5 * sim::kSecond);
+  ASSERT_TRUE(cluster.RunUntilStable(30 * host::kSecond));
+  cluster.RunFor(5 * host::kSecond);
 
   // Transfers conserve money whatever committed — and committed state
   // survived the majority-loss event via the durable logs.
@@ -510,7 +512,7 @@ TEST(Cluster, ClusterWideTotalsSumEveryGroup) {
 TEST(FailureSchedule, MultiGroupAndOutageShapes) {
   sim::Rng rng(17);
   auto multi = workload::RandomMultiGroupCrashSchedule(
-      rng, {{1, 3}, {2, 3}}, 60 * sim::kSecond, 5, 1);
+      rng, {{1, 3}, {2, 3}}, 60 * host::kSecond, 5, 1);
   bool saw_g1 = false, saw_g2 = false;
   for (const auto& e : multi) {
     saw_g1 |= e.group == 1;
@@ -520,15 +522,15 @@ TEST(FailureSchedule, MultiGroupAndOutageShapes) {
   EXPECT_TRUE(saw_g2);
 
   auto outage = workload::WholeClusterOutage({{1, 2}, {2, 2}},
-                                             1 * sim::kSecond,
-                                             500 * sim::kMillisecond);
+                                             1 * host::kSecond,
+                                             500 * host::kMillisecond);
   ASSERT_EQ(outage.size(), 8u);  // crash + recover per replica
   int crashes = 0;
-  sim::Time last_recover = 0;
+  host::Time last_recover = 0;
   for (const auto& e : outage) {
     if (e.kind == workload::FailureEvent::Kind::kCrash) {
       ++crashes;
-      EXPECT_EQ(e.at, 1 * sim::kSecond);
+      EXPECT_EQ(e.at, 1 * host::kSecond);
     } else {
       EXPECT_EQ(e.kind, workload::FailureEvent::Kind::kRecover);
       EXPECT_GT(e.at, last_recover);  // staggered

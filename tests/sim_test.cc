@@ -1,11 +1,11 @@
 // Unit tests for the simulation substrate: scheduler, PRNG, coroutine tasks.
 #include <gtest/gtest.h>
 
+#include "host/task.h"
+#include "host/time.h"
 #include "sim/rng.h"
 #include "sim/scheduler.h"
 #include "sim/simulation.h"
-#include "sim/task.h"
-#include "sim/time.h"
 
 namespace vsr::sim {
 namespace {
@@ -33,7 +33,7 @@ TEST(Scheduler, SimultaneousEventsRunInInsertionOrder) {
 
 TEST(Scheduler, AfterSchedulesRelativeToNow) {
   Scheduler s;
-  Time fired_at = 0;
+  host::Time fired_at = 0;
   s.At(100, [&] { s.After(50, [&] { fired_at = s.Now(); }); });
   s.RunToQuiescence();
   EXPECT_EQ(fired_at, 150u);
@@ -73,7 +73,7 @@ TEST(Scheduler, PastTimeClampsToNow) {
   Scheduler s;
   s.At(50, [] {});
   s.RunToQuiescence();
-  Time fired_at = 0;
+  host::Time fired_at = 0;
   s.At(10, [&] { fired_at = s.Now(); });  // 10 < Now()=50
   s.RunToQuiescence();
   EXPECT_EQ(fired_at, 50u);
@@ -159,17 +159,17 @@ TEST(Rng, ShuffleIsAPermutation) {
 
 TEST(Task, LazyUntilAwaited) {
   bool ran = false;
-  auto make = [&]() -> Task<int> {
+  auto make = [&]() -> host::Task<int> {
     ran = true;
     co_return 7;
   };
-  Task<int> t = make();
+  host::Task<int> t = make();
   EXPECT_FALSE(ran);
 
   Scheduler sched;
-  TaskRegistry reg(sched);
+  host::TaskRegistry reg(sched);
   int result = 0;
-  reg.Spawn([](Task<int> inner, int* out) -> Task<void> {
+  reg.Spawn([](host::Task<int> inner, int* out) -> host::Task<void> {
     *out = co_await std::move(inner);
   }(std::move(t), &result));
   sched.RunToQuiescence();
@@ -179,13 +179,13 @@ TEST(Task, LazyUntilAwaited) {
 
 TEST(Task, ExceptionsPropagateThroughAwait) {
   Scheduler sched;
-  TaskRegistry reg(sched);
+  host::TaskRegistry reg(sched);
   bool caught = false;
-  auto thrower = []() -> Task<int> {
+  auto thrower = []() -> host::Task<int> {
     throw std::runtime_error("boom");
     co_return 0;  // unreachable
   };
-  reg.Spawn([](Task<int> inner, bool* flag) -> Task<void> {
+  reg.Spawn([](host::Task<int> inner, bool* flag) -> host::Task<void> {
     try {
       co_await std::move(inner);
     } catch (const std::runtime_error&) {
@@ -198,10 +198,10 @@ TEST(Task, ExceptionsPropagateThroughAwait) {
 
 TEST(Task, SleepSuspendsForSimulatedTime) {
   Scheduler sched;
-  TaskRegistry reg(sched);
-  Time woke_at = 0;
-  reg.Spawn([](Scheduler* s, Time* out) -> Task<void> {
-    co_await Sleep(*s, 250);
+  host::TaskRegistry reg(sched);
+  host::Time woke_at = 0;
+  reg.Spawn([](Scheduler* s, host::Time* out) -> host::Task<void> {
+    co_await host::Sleep(*s, 250);
     *out = s->Now();
   }(&sched, &woke_at));
   sched.RunToQuiescence();
@@ -210,8 +210,8 @@ TEST(Task, SleepSuspendsForSimulatedTime) {
 
 TEST(TaskRegistry, ReapsCompletedTasks) {
   Scheduler sched;
-  TaskRegistry reg(sched);
-  reg.Spawn([]() -> Task<void> { co_return; }());
+  host::TaskRegistry reg(sched);
+  reg.Spawn([]() -> host::Task<void> { co_return; }());
   EXPECT_EQ(reg.live_count(), 1u);  // reap is deferred one event
   sched.RunToQuiescence();
   EXPECT_EQ(reg.live_count(), 0u);
@@ -219,10 +219,10 @@ TEST(TaskRegistry, ReapsCompletedTasks) {
 
 TEST(TaskRegistry, DestroyAllKillsSleepers) {
   Scheduler sched;
-  TaskRegistry reg(sched);
+  host::TaskRegistry reg(sched);
   bool finished = false;
-  reg.Spawn([](Scheduler* s, bool* out) -> Task<void> {
-    co_await Sleep(*s, 1000);
+  reg.Spawn([](Scheduler* s, bool* out) -> host::Task<void> {
+    co_await host::Sleep(*s, 1000);
     *out = true;
   }(&sched, &finished));
   sched.RunUntil(10);
@@ -235,21 +235,21 @@ TEST(TaskRegistry, DestroyAllKillsSleepers) {
 
 TEST(TaskRegistry, NestedAwaitChainsComplete) {
   Scheduler sched;
-  TaskRegistry reg(sched);
+  host::TaskRegistry reg(sched);
   int result = 0;
   // three-deep chain with sleeps at each level
   struct Helper {
-    static Task<int> Leaf(Scheduler& s) {
-      co_await Sleep(s, 10);
+    static host::Task<int> Leaf(Scheduler& s) {
+      co_await host::Sleep(s, 10);
       co_return 1;
     }
-    static Task<int> Mid(Scheduler& s) {
-      co_await Sleep(s, 10);
+    static host::Task<int> Mid(Scheduler& s) {
+      co_await host::Sleep(s, 10);
       int v = co_await Leaf(s);
       co_return v + 1;
     }
   };
-  reg.Spawn([](Scheduler* s, int* out) -> Task<void> {
+  reg.Spawn([](Scheduler* s, int* out) -> host::Task<void> {
     int v = co_await Helper::Mid(*s);
     *out = v + 1;
   }(&sched, &result));
@@ -258,9 +258,10 @@ TEST(TaskRegistry, NestedAwaitChainsComplete) {
 }
 
 TEST(Time, FormatDuration) {
-  EXPECT_EQ(FormatDuration(12), "12us");
-  EXPECT_EQ(FormatDuration(12 * kMillisecond + 345), "12.345ms");
-  EXPECT_EQ(FormatDuration(3 * kSecond + 250 * kMillisecond), "3.250s");
+  EXPECT_EQ(host::FormatDuration(12), "12us");
+  EXPECT_EQ(host::FormatDuration(12 * host::kMillisecond + 345), "12.345ms");
+  EXPECT_EQ(host::FormatDuration(3 * host::kSecond + 250 * host::kMillisecond),
+            "3.250s");
 }
 
 }  // namespace

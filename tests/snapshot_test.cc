@@ -48,7 +48,7 @@ class SnapshotUnitTest : public ::testing::Test {
   static SnapshotTransferOptions Options() {
     return {.chunk_size = 10,
             .window = 2,
-            .retransmit_interval = 20 * sim::kMillisecond};
+            .retransmit_interval = 20 * host::kMillisecond};
   }
 
   void Ack(std::uint64_t offset, Viewstamp vs) {
@@ -297,7 +297,7 @@ core::CohortOptions LaggardFriendlyOptions() {
   core::CohortOptions o;
   // Suppress failure-detection view changes while a backup is cut off: this
   // test is about state transfer, not elections.
-  o.liveness_timeout = 60 * sim::kSecond;
+  o.liveness_timeout = 60 * host::kSecond;
   // A small buffer window so a modest workload outruns the laggard...
   o.buffer.window = 8;
   // ...and small chunks so a transfer takes several round trips.
@@ -331,7 +331,7 @@ TEST(SnapshotIntegration, PartitionedBackupCatchesUpViaStateTransfer) {
               TxnOutcome::kCommitted)
         << "txn " << i;
   }
-  cluster.RunFor(500 * sim::kMillisecond);
+  cluster.RunFor(500 * host::kMillisecond);
 
   // The dead backup no longer pins the buffer: resident records stay
   // O(window) and the laggard was routed through state transfer.
@@ -343,7 +343,7 @@ TEST(SnapshotIntegration, PartitionedBackupCatchesUpViaStateTransfer) {
   // Heal. The deadline-driven chunk retransmits reach the laggard, which
   // installs the snapshot and rejoins the record stream.
   cluster.network().SetLinkDown(primary.mid(), laggard.mid(), false);
-  cluster.RunFor(2 * sim::kSecond);
+  cluster.RunFor(2 * host::kSecond);
 
   EXPECT_GE(laggard.stats().snapshots_installed, 1u);
   EXPECT_EQ(laggard.stats().snapshot_installs_rejected, 0u);
@@ -361,7 +361,7 @@ TEST(SnapshotIntegration, PartitionedBackupCatchesUpViaStateTransfer) {
   // The group still commits new work, and the caught-up backup sees it.
   ASSERT_EQ(RunOneCallWithRetry(cluster, client_g, kv, "put", "post=1"),
             TxnOutcome::kCommitted);
-  cluster.RunFor(500 * sim::kMillisecond);
+  cluster.RunFor(500 * host::kMillisecond);
   EXPECT_EQ(laggard.objects().ReadCommitted("post").value_or(""), "1");
 }
 
@@ -386,7 +386,7 @@ TEST(SnapshotIntegration, TransferSurvivesTwentyPercentLoss) {
                                       std::to_string(i)),
               TxnOutcome::kCommitted);
   }
-  cluster.RunFor(500 * sim::kMillisecond);
+  cluster.RunFor(500 * host::kMillisecond);
   ASSERT_GE(primary.buffer().stats().snapshots_served, 1u);
 
   // Heal the link but drop 20% of every frame: chunks and acks both. The
@@ -395,11 +395,11 @@ TEST(SnapshotIntegration, TransferSurvivesTwentyPercentLoss) {
   lossy.loss_probability = 0.2;
   cluster.network().set_options(lossy);
   cluster.network().SetLinkDown(primary.mid(), laggard.mid(), false);
-  cluster.RunFor(5 * sim::kSecond);
+  cluster.RunFor(5 * host::kSecond);
 
   lossy.loss_probability = 0.0;
   cluster.network().set_options(lossy);
-  cluster.RunFor(1 * sim::kSecond);
+  cluster.RunFor(1 * host::kSecond);
 
   EXPECT_GE(laggard.stats().snapshots_installed, 1u);
   EXPECT_EQ(laggard.stats().snapshot_installs_rejected, 0u);
@@ -439,14 +439,14 @@ MidTransferRig SetUpMidTransfer(Cluster& cluster, GroupId kv,
                                       std::to_string(i)),
               TxnOutcome::kCommitted);
   }
-  cluster.RunFor(200 * sim::kMillisecond);
+  cluster.RunFor(200 * host::kMillisecond);
   EXPECT_GE(primary.buffer().stats().snapshots_served, 1u);
 
   // Heal and step in fine increments until the first chunk lands: the
   // laggard is now mid-install and must answer view changes as crashed.
   cluster.network().SetLinkDown(primary.mid(), laggard.mid(), false);
   for (int i = 0; i < 20000 && !laggard.installing_snapshot(); ++i) {
-    cluster.RunFor(100 * sim::kMicrosecond);
+    cluster.RunFor(100 * host::kMicrosecond);
   }
   EXPECT_TRUE(laggard.installing_snapshot());
   return rig;
@@ -456,7 +456,7 @@ core::CohortOptions MidTransferOptions() {
   core::CohortOptions o;
   // Moderate liveness: long enough to keep the lag phase election-free,
   // short enough that failures below are detected promptly.
-  o.liveness_timeout = 3 * sim::kSecond;
+  o.liveness_timeout = 3 * host::kSecond;
   o.buffer.window = 8;
   // One tiny chunk in flight at a time: the transfer takes many round
   // trips, giving the interruptions below a wide mid-transfer target.
@@ -469,7 +469,7 @@ TEST(SnapshotIntegration, MidTransferViewChangeSupersedesInstall) {
   core::CohortOptions opts = MidTransferOptions();
   // Keep the sink mid-install across the whole episode so the view change —
   // not the idle-abandon timer — is what resolves it.
-  opts.snapshot.install_abandon_timeout = 60 * sim::kSecond;
+  opts.snapshot.install_abandon_timeout = 60 * host::kSecond;
   Cluster cluster(ClusterOptions{.seed = 93});
   auto kv = cluster.AddGroup("kv", 3, &opts);
   auto client_g = cluster.AddGroup("client", 1);
@@ -493,7 +493,7 @@ TEST(SnapshotIntegration, MidTransferViewChangeSupersedesInstall) {
   }
   for (core::Cohort* c : cluster.Cohorts(client_g)) rest.push_back(c->mid());
   cluster.network().Partition({isolated, rest});
-  cluster.RunFor(opts.liveness_timeout + 2 * sim::kSecond);
+  cluster.RunFor(opts.liveness_timeout + 2 * host::kSecond);
   EXPECT_TRUE(laggard.installing_snapshot());  // invitations left it intact
   EXPECT_EQ(laggard.stats().snapshots_installed, 0u);
 
@@ -501,11 +501,11 @@ TEST(SnapshotIntegration, MidTransferViewChangeSupersedesInstall) {
   // acceptance (it led the crash-viewid view, satisfying condition (3)),
   // so a view forms and its newview gstate supersedes the partial install.
   cluster.network().Heal();
-  ASSERT_TRUE(cluster.RunUntilStable(30 * sim::kSecond));
+  ASSERT_TRUE(cluster.RunUntilStable(30 * host::kSecond));
   core::Cohort* np = cluster.AnyPrimary(kv);
   ASSERT_NE(np, nullptr);
   EXPECT_GT(np->cur_viewid(), old_viewid);
-  cluster.RunFor(1 * sim::kSecond);
+  cluster.RunFor(1 * host::kSecond);
 
   EXPECT_EQ(laggard.stats().snapshots_installed, 0u);
   EXPECT_EQ(laggard.stats().snapshot_installs_rejected, 0u);
@@ -529,7 +529,7 @@ TEST(SnapshotIntegration, MidTransferPrimaryCrashInstallsNothing) {
   core::CohortOptions opts = MidTransferOptions();
   // Long abandon timeout: first observe the crashed-equivalence window,
   // then the timer's escape from it.
-  opts.snapshot.install_abandon_timeout = 15 * sim::kSecond;
+  opts.snapshot.install_abandon_timeout = 15 * host::kSecond;
   Cluster cluster(ClusterOptions{.seed = 94});
   auto kv = cluster.AddGroup("kv", 3, &opts);
   auto client_g = cluster.AddGroup("client", 1);
@@ -549,7 +549,7 @@ TEST(SnapshotIntegration, MidTransferPrimaryCrashInstallsNothing) {
   // the crash-viewid view, so §4's conditions (1)-(3) all fail — exactly
   // the paper's A/B/C example. Safety: a half-transferred snapshot must
   // never seed a new view.
-  EXPECT_FALSE(cluster.RunUntilStable(8 * sim::kSecond));
+  EXPECT_FALSE(cluster.RunUntilStable(8 * host::kSecond));
   EXPECT_EQ(cluster.AnyPrimary(kv), nullptr);
   EXPECT_TRUE(laggard.installing_snapshot());
 
@@ -579,14 +579,14 @@ TEST(SnapshotIntegration, MidTransferPrimaryCrashInstallsNothing) {
   // acceptances with its intact pre-transfer state: two normal acceptances
   // are a majority (condition (1)), so availability returns — led by the
   // up-to-date backup, which holds the largest viewstamp.
-  ASSERT_TRUE(cluster.RunUntilStable(60 * sim::kSecond));
+  ASSERT_TRUE(cluster.RunUntilStable(60 * host::kSecond));
   EXPECT_GE(laggard.stats().snapshot_installs_abandoned, 1u);
   EXPECT_FALSE(laggard.installing_snapshot());
   const std::size_t np = IndexOfPrimary(cluster, kv);
   EXPECT_EQ(np, hi);
   EXPECT_EQ(RunOneCallWithRetry(cluster, client_g, kv, "put", "post=1"),
             TxnOutcome::kCommitted);
-  cluster.RunFor(500 * sim::kMillisecond);
+  cluster.RunFor(500 * host::kMillisecond);
   // The newview gstate caught the laggard all the way up.
   EXPECT_EQ(laggard.objects().ReadCommitted("k13").value_or(""),
             rig.pad + "13");

@@ -52,7 +52,7 @@ TEST_P(SoakTest, CrossGroupSerializableUnderChaos) {
   for (auto g : {ga, gb}) {
     cluster.RegisterProc(
         g, "rmw",
-        [](core::ProcContext& ctx) -> sim::Task<std::vector<std::uint8_t>> {
+        [](core::ProcContext& ctx) -> host::Task<std::vector<std::uint8_t>> {
           auto prev = co_await ctx.ReadForUpdate("r");
           co_await ctx.Write("r", ctx.ArgsAsString());
           co_return test::Bytes(prev.value_or(""));
@@ -101,7 +101,7 @@ TEST_P(SoakTest, CrossGroupSerializableUnderChaos) {
         TxnRecord* raw = rec.get();
         txns.push_back(std::move(rec));
         primary->SpawnTransaction(
-            [raw, ga, gb](core::TxnHandle& h) -> sim::Task<bool> {
+            [raw, ga, gb](core::TxnHandle& h) -> host::Task<bool> {
               auto a = co_await h.Call(ga, "rmw", raw->value);
               raw->prev_a = test::Str(a);
               raw->have_a = true;
@@ -148,7 +148,7 @@ TEST_P(SoakTest, CrossGroupSerializableUnderChaos) {
         }
       }
     }
-    cluster.RunFor(rng.UniformInt(5, 60) * sim::kMillisecond);
+    cluster.RunFor(rng.UniformInt(5, 60) * host::kMillisecond);
   }
 
   // Quiesce.
@@ -159,7 +159,7 @@ TEST_P(SoakTest, CrossGroupSerializableUnderChaos) {
     }
   }
   ASSERT_TRUE(cluster.RunUntilStable());
-  cluster.RunFor(15 * sim::kSecond);
+  cluster.RunFor(15 * host::kSecond);
 
   // Each group's register must form a serial chain over the SAME set of
   // committed transactions (atomic commitment: a transaction is in both
@@ -219,7 +219,7 @@ TEST(DeadBackupSoak, ResidentRecordsStayWithinWindow) {
 
   core::CohortOptions copts;
   // Losing a backup must not trigger an election mid-measurement.
-  copts.liveness_timeout = 60 * sim::kSecond;
+  copts.liveness_timeout = 60 * host::kSecond;
   // Small window so even the short run commits many windows' worth of work.
   copts.buffer.window = 8;
   copts.snapshot.chunk_size = 256;
@@ -253,7 +253,7 @@ TEST(DeadBackupSoak, ResidentRecordsStayWithinWindow) {
         << "round " << i;
     max_resident = std::max(max_resident, primary.buffer().records().size());
     if (i % 10 == 9) {
-      cluster.RunFor(50 * sim::kMillisecond);
+      cluster.RunFor(50 * host::kMillisecond);
       for (const std::string& v : check::CheckInstant(cluster, kv)) {
         ADD_FAILURE() << "round " << i << ": " << v;
       }
@@ -270,7 +270,7 @@ TEST(DeadBackupSoak, ResidentRecordsStayWithinWindow) {
   // though the records it missed were long since garbage-collected.
   dead.Recover();
   ASSERT_TRUE(cluster.RunUntilStable());
-  cluster.RunFor(2 * sim::kSecond);
+  cluster.RunFor(2 * host::kSecond);
   // The recovered cohort must hold history it never received through the
   // record stream — those records were garbage-collected long ago.
   for (int i : {0, rounds / 2, rounds - 1}) {
@@ -282,7 +282,7 @@ TEST(DeadBackupSoak, ResidentRecordsStayWithinWindow) {
   EXPECT_EQ(test::RunOneCallWithRetry(cluster, client_g, kv, "put",
                                       "post=recovery"),
             vr::TxnOutcome::kCommitted);
-  cluster.RunFor(500 * sim::kMillisecond);
+  cluster.RunFor(500 * host::kMillisecond);
   for (const std::string& v : check::CheckQuiescent(cluster, kv)) {
     ADD_FAILURE() << v;
   }
@@ -371,7 +371,7 @@ TEST(CommitFusionCrashSoak, ExactConservationAcrossCoordinatorCrashes) {
         }
       }
     }
-    cluster.RunFor(rng.UniformInt(5, 60) * sim::kMillisecond);
+    cluster.RunFor(rng.UniformInt(5, 60) * host::kMillisecond);
   }
 
   // Quiesce: recover everyone, let janitors resolve every in-doubt txn.
@@ -381,7 +381,7 @@ TEST(CommitFusionCrashSoak, ExactConservationAcrossCoordinatorCrashes) {
     }
   }
   ASSERT_TRUE(cluster.RunUntilStable());
-  cluster.RunFor(20 * sim::kSecond);
+  cluster.RunFor(20 * host::kSecond);
 
   ASSERT_GT(spawned, 0);
   std::vector<std::string> accounts;

@@ -10,17 +10,17 @@ namespace {
 TEST(StableStore, ForceCompletesAfterConfiguredLatency) {
   sim::Simulation simulation(1);
   StableStoreOptions opts;
-  opts.force_latency = 5 * sim::kMillisecond;
+  opts.force_latency = 5 * host::kMillisecond;
   StableStore store(simulation, opts);
 
   bool durable = false;
   store.ForceWrite("k", {1, 2, 3}, [&] { durable = true; });
   EXPECT_EQ(store.pending_writes(), 1);
-  simulation.scheduler().RunUntil(4 * sim::kMillisecond);
+  simulation.scheduler().RunUntil(4 * host::kMillisecond);
   EXPECT_FALSE(durable);
   // Not yet visible either: durability precedes visibility.
   EXPECT_FALSE(store.Read("k").has_value());
-  simulation.scheduler().RunUntil(6 * sim::kMillisecond);
+  simulation.scheduler().RunUntil(6 * host::kMillisecond);
   EXPECT_TRUE(durable);
   EXPECT_EQ(store.pending_writes(), 0);
   ASSERT_TRUE(store.Read("k").has_value());
@@ -60,10 +60,10 @@ TEST(StableStore, InFlightWriteIsLostIfSimulationStops) {
   // viewid durability gates entering the view).
   sim::Simulation simulation(5);
   StableStoreOptions opts;
-  opts.force_latency = 10 * sim::kMillisecond;
+  opts.force_latency = 10 * host::kMillisecond;
   StableStore store(simulation, opts);
   store.ForceWrite("k", {7}, nullptr);
-  simulation.scheduler().RunUntil(1 * sim::kMillisecond);
+  simulation.scheduler().RunUntil(1 * host::kMillisecond);
   EXPECT_FALSE(store.Contains("k"));  // "crash" here -> nothing persisted
 }
 
@@ -84,7 +84,7 @@ TEST(StableStore, ZeroLatencyStillAsynchronous) {
 TEST(StableStore, DropPendingCancelsExactlyThatOwnersWrites) {
   sim::Simulation simulation(7);
   StableStoreOptions opts;
-  opts.force_latency = 10 * sim::kMillisecond;
+  opts.force_latency = 10 * host::kMillisecond;
   StableStore store(simulation, opts);
 
   bool mine = false, theirs = false, unowned = false;
@@ -122,7 +122,7 @@ TEST(StableStore, TornModeTruncatesOldestPendingWrite) {
   // code sees a torn sector instead of a clean absence.
   sim::Simulation simulation(9);
   StableStoreOptions opts;
-  opts.force_latency = 10 * sim::kMillisecond;
+  opts.force_latency = 10 * host::kMillisecond;
   opts.torn_writes = true;
   StableStore store(simulation, opts);
 

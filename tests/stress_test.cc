@@ -56,7 +56,7 @@ TEST_P(StressTest, SerializableUnderFaults) {
   // previous contents.
   cluster.RegisterProc(
       reg, "rmw",
-      [](core::ProcContext& ctx) -> sim::Task<std::vector<std::uint8_t>> {
+      [](core::ProcContext& ctx) -> host::Task<std::vector<std::uint8_t>> {
         auto prev = co_await ctx.ReadForUpdate("r");
         co_await ctx.Write("r", ctx.ArgsAsString());
         co_return test::Bytes(prev.value_or(""));
@@ -90,7 +90,7 @@ TEST_P(StressTest, SerializableUnderFaults) {
         TxnRecord* raw = rec.get();
         txns.push_back(std::move(rec));
         primary->SpawnTransaction(
-            [raw, reg](core::TxnHandle& h) -> sim::Task<bool> {
+            [raw, reg](core::TxnHandle& h) -> host::Task<bool> {
               auto r = co_await h.Call(reg, "rmw", raw->value);
               raw->prev = test::Str(r);
               raw->have_prev = true;
@@ -177,7 +177,7 @@ TEST_P(StressTest, SerializableUnderFaults) {
         ADD_FAILURE() << "round " << round << ": " << v;
       }
     }
-    cluster.RunFor(rng.UniformInt(5, 80) * sim::kMillisecond);
+    cluster.RunFor(rng.UniformInt(5, 80) * host::kMillisecond);
   }
 
   // Quiesce: heal everything, recover everyone, let the dust settle.
@@ -189,7 +189,7 @@ TEST_P(StressTest, SerializableUnderFaults) {
     if (!client_up[i]) cluster.Recover(client_g, i);
   }
   ASSERT_TRUE(cluster.RunUntilStable());
-  cluster.RunFor(10 * sim::kSecond);
+  cluster.RunFor(10 * host::kSecond);
 
   // Build the serializability chain from client-observed outcomes.
   check::RegisterChainChecker chain;

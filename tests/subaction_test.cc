@@ -32,8 +32,8 @@ vr::TxnOutcome CrashServerMidCall(std::uint64_t seed, bool nested_retry) {
   sim::Scheduler* sched = &cluster.sim().scheduler();
   cluster.RegisterProc(
       server, "slow_put",
-      [sched](core::ProcContext& ctx) -> sim::Task<std::vector<std::uint8_t>> {
-        co_await sim::Sleep(*sched, 50 * sim::kMillisecond);  // "work"
+      [sched](core::ProcContext& ctx) -> host::Task<std::vector<std::uint8_t>> {
+        co_await host::Sleep(*sched, 50 * host::kMillisecond);  // "work"
         std::string a = ctx.ArgsAsString();
         auto eq = a.find('=');
         co_await ctx.Write(a.substr(0, eq), a.substr(eq + 1));
@@ -46,7 +46,7 @@ vr::TxnOutcome CrashServerMidCall(std::uint64_t seed, bool nested_retry) {
   vr::TxnOutcome outcome = vr::TxnOutcome::kUnknown;
   bool done = false;
   primary->SpawnTransaction(
-      [server](core::TxnHandle& h) -> sim::Task<bool> {
+      [server](core::TxnHandle& h) -> host::Task<bool> {
         co_await h.Call(server, "slow_put", std::string("s=alpha"));
         co_return true;
       },
@@ -55,13 +55,13 @@ vr::TxnOutcome CrashServerMidCall(std::uint64_t seed, bool nested_retry) {
         done = true;
       });
   // Let the call reach the server primary, then kill it mid-execution.
-  cluster.RunFor(10 * sim::kMillisecond);
+  cluster.RunFor(10 * host::kMillisecond);
   const std::size_t p = PrimaryIndex(cluster, server);
   if (p < 3) cluster.Crash(server, p);
 
-  const sim::Time deadline = cluster.sim().Now() + 30 * sim::kSecond;
+  const host::Time deadline = cluster.sim().Now() + 30 * host::kSecond;
   while (!done && cluster.sim().Now() < deadline) {
-    cluster.RunFor(10 * sim::kMillisecond);
+    cluster.RunFor(10 * host::kMillisecond);
   }
   return outcome;
 }
@@ -97,11 +97,11 @@ TEST(Subactions, DeadAttemptEffectsNeverCommit) {
   cluster.RegisterProc(
       server, "stamp",
       [&executions, sched](core::ProcContext& ctx)
-          -> sim::Task<std::vector<std::uint8_t>> {
+          -> host::Task<std::vector<std::uint8_t>> {
         ++executions;
         std::string v = ctx.ArgsAsString() + "#" + std::to_string(executions);
         co_await ctx.Write("obj", v);
-        co_await sim::Sleep(*sched, 30 * sim::kMillisecond);  // "work"
+        co_await host::Sleep(*sched, 30 * host::kMillisecond);  // "work"
         co_return test::Bytes(v);
       });
   cluster.Start();
@@ -112,7 +112,7 @@ TEST(Subactions, DeadAttemptEffectsNeverCommit) {
   vr::TxnOutcome outcome = vr::TxnOutcome::kUnknown;
   bool done = false;
   primary->SpawnTransaction(
-      [&](core::TxnHandle& h) -> sim::Task<bool> {
+      [&](core::TxnHandle& h) -> host::Task<bool> {
         auto r = co_await h.Call(server, "stamp", std::string("x"));
         returned = test::Str(r);
         co_return true;
@@ -123,14 +123,14 @@ TEST(Subactions, DeadAttemptEffectsNeverCommit) {
       });
   // Crash the server primary mid-call, forcing a subaction retry at the new
   // primary; the first attempt wrote its tentative but never replied.
-  cluster.RunFor(10 * sim::kMillisecond);
+  cluster.RunFor(10 * host::kMillisecond);
   const std::size_t p = PrimaryIndex(cluster, server);
   ASSERT_LT(p, 3u);
   cluster.Crash(server, p);
-  while (!done) cluster.RunFor(10 * sim::kMillisecond);
+  while (!done) cluster.RunFor(10 * host::kMillisecond);
 
   ASSERT_EQ(outcome, vr::TxnOutcome::kCommitted);
-  cluster.RunFor(3 * sim::kSecond);
+  cluster.RunFor(3 * host::kSecond);
   // Whatever committed must be exactly the value whose reply the client saw.
   core::Cohort* sp = cluster.AnyPrimary(server);
   ASSERT_NE(sp, nullptr);
@@ -165,9 +165,9 @@ TEST(Ablation, ForcedCallsSurviveEvenTheTightestCrashWindow) {
   vr::TxnOutcome outcome = vr::TxnOutcome::kUnknown;
   bool done = false;
   cluster.AnyPrimary(client_g)->SpawnTransaction(
-      [server, sched](core::TxnHandle& h) -> sim::Task<bool> {
+      [server, sched](core::TxnHandle& h) -> host::Task<bool> {
         co_await h.Call(server, "put", std::string("f=1"));
-        co_await sim::Sleep(*sched, 2 * sim::kSecond);
+        co_await host::Sleep(*sched, 2 * host::kSecond);
         co_return true;
       },
       [&](vr::TxnOutcome o) {
@@ -175,7 +175,7 @@ TEST(Ablation, ForcedCallsSurviveEvenTheTightestCrashWindow) {
         done = true;
       });
   // Crash the primary the instant the reply could have been sent.
-  cluster.RunFor(2 * sim::kMillisecond);
+  cluster.RunFor(2 * host::kMillisecond);
   auto cohorts = cluster.Cohorts(server);
   for (std::size_t i = 0; i < cohorts.size(); ++i) {
     if (cohorts[i]->IsActivePrimary()) {
@@ -183,12 +183,12 @@ TEST(Ablation, ForcedCallsSurviveEvenTheTightestCrashWindow) {
       break;
     }
   }
-  const sim::Time deadline = cluster.sim().Now() + 30 * sim::kSecond;
+  const host::Time deadline = cluster.sim().Now() + 30 * host::kSecond;
   while (!done && cluster.sim().Now() < deadline) {
-    cluster.RunFor(10 * sim::kMillisecond);
+    cluster.RunFor(10 * host::kMillisecond);
   }
   EXPECT_EQ(outcome, vr::TxnOutcome::kCommitted);
-  cluster.RunFor(2 * sim::kSecond);
+  cluster.RunFor(2 * host::kSecond);
   EXPECT_EQ(test::CommittedValue(cluster, server, "f"), "1");
 }
 
@@ -206,7 +206,7 @@ TEST(Ablation, LazyBackupApplyBehavesLikeEagerAfterPromotion) {
 
     ASSERT_EQ(test::RunOneCall(cluster, client_g, server, "put", "a=1"),
               vr::TxnOutcome::kCommitted);
-    cluster.RunFor(300 * sim::kMillisecond);
+    cluster.RunFor(300 * host::kMillisecond);
     cluster.Crash(server, PrimaryIndex(cluster, server));
     ASSERT_TRUE(cluster.RunUntilStable());
     // The promoted backup folded its stored records (lazy) or already had
@@ -241,7 +241,7 @@ TEST(Ablation, UnilateralTweakAvoidsFullViewChange) {
   // the primary can unilaterally exclude the inaccessible backup."
   cluster.Crash(server, backup);
   ASSERT_TRUE(cluster.RunUntilStable());
-  cluster.RunFor(1 * sim::kSecond);
+  cluster.RunFor(1 * host::kSecond);
 
   EXPECT_TRUE(p.IsActivePrimary());  // same primary, no handoff
   EXPECT_GE(p.stats().unilateral_tweaks, 1u);
@@ -252,7 +252,7 @@ TEST(Ablation, UnilateralTweakAvoidsFullViewChange) {
   // And the recovered backup is re-added unilaterally.
   cluster.Recover(server, backup);
   ASSERT_TRUE(cluster.RunUntilStable());
-  cluster.RunFor(2 * sim::kSecond);
+  cluster.RunFor(2 * host::kSecond);
   EXPECT_EQ(test::RunOneCallWithRetry(cluster, client_g, server, "put", "k=1"),
             vr::TxnOutcome::kCommitted);
 }
@@ -272,7 +272,7 @@ TEST(Ablation, ViewidDurabilityGatesRecoveryHonesty) {
   for (std::size_t i = 0; i < 3; ++i) {
     if (i != primary) cluster.Crash(g, i);
   }
-  cluster.RunFor(300 * sim::kMillisecond);
+  cluster.RunFor(300 * host::kMillisecond);
   for (std::size_t i = 0; i < 3; ++i) {
     if (i != primary) cluster.Recover(g, i);
   }

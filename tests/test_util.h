@@ -23,7 +23,7 @@ inline std::string Str(const std::vector<std::uint8_t>& b) {
 inline void RegisterKvProcs(client::Cluster& cluster, vr::GroupId group) {
   cluster.RegisterProc(group, "put",
                        [](core::ProcContext& ctx)
-                           -> sim::Task<std::vector<std::uint8_t>> {
+                           -> host::Task<std::vector<std::uint8_t>> {
                          std::string a = ctx.ArgsAsString();
                          auto eq = a.find('=');
                          co_await ctx.Write(a.substr(0, eq), a.substr(eq + 1));
@@ -31,13 +31,13 @@ inline void RegisterKvProcs(client::Cluster& cluster, vr::GroupId group) {
                        });
   cluster.RegisterProc(group, "get",
                        [](core::ProcContext& ctx)
-                           -> sim::Task<std::vector<std::uint8_t>> {
+                           -> host::Task<std::vector<std::uint8_t>> {
                          auto v = co_await ctx.Read(ctx.ArgsAsString());
                          co_return Bytes(v.value_or(""));
                        });
   cluster.RegisterProc(
       group, "add",
-      [](core::ProcContext& ctx) -> sim::Task<std::vector<std::uint8_t>> {
+      [](core::ProcContext& ctx) -> host::Task<std::vector<std::uint8_t>> {
         std::string a = ctx.ArgsAsString();
         auto eq = a.find('=');
         std::string key = a.substr(0, eq);
@@ -56,13 +56,13 @@ inline vr::TxnOutcome RunOneCall(client::Cluster& cluster,
                                  vr::GroupId server_group,
                                  const std::string& proc,
                                  const std::string& args,
-                                 sim::Duration settle = 2 * sim::kSecond) {
+                                 host::Duration settle = 2 * host::kSecond) {
   core::Cohort* primary = cluster.AnyPrimary(client_group);
   if (primary == nullptr) return vr::TxnOutcome::kUnknown;
   vr::TxnOutcome outcome = vr::TxnOutcome::kUnknown;
   bool done = false;
   primary->SpawnTransaction(
-      [server_group, proc, args](core::TxnHandle& h) -> sim::Task<bool> {
+      [server_group, proc, args](core::TxnHandle& h) -> host::Task<bool> {
         co_await h.Call(server_group, proc, args);
         co_return true;
       },
@@ -70,9 +70,9 @@ inline vr::TxnOutcome RunOneCall(client::Cluster& cluster,
         outcome = o;
         done = true;
       });
-  const sim::Time deadline = cluster.sim().Now() + settle;
+  const host::Time deadline = cluster.sim().Now() + settle;
   while (!done && cluster.sim().Now() < deadline) {
-    cluster.RunFor(10 * sim::kMillisecond);
+    cluster.RunFor(10 * host::kMillisecond);
   }
   return outcome;
 }
@@ -92,7 +92,7 @@ inline vr::TxnOutcome RunOneCallWithRetry(client::Cluster& cluster,
     // Retry only cleanly aborted transactions; an unknown outcome might have
     // committed, so retrying it is not idempotent-safe.
     if (outcome != vr::TxnOutcome::kAborted) return outcome;
-    cluster.RunFor(200 * sim::kMillisecond);
+    cluster.RunFor(200 * host::kMillisecond);
   }
   return outcome;
 }

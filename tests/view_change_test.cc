@@ -48,7 +48,7 @@ TEST(ViewChange, CommittedStateSurvivesPrimaryCrash) {
 
   ASSERT_EQ(RunOneCall(cluster, client_g, g, "put", "k=committed"),
             vr::TxnOutcome::kCommitted);
-  cluster.RunFor(300 * sim::kMillisecond);
+  cluster.RunFor(300 * host::kMillisecond);
 
   const std::size_t old_primary = IndexOfPrimary(cluster, g);
   cluster.Crash(g, old_primary);
@@ -60,7 +60,7 @@ TEST(ViewChange, CommittedStateSurvivesPrimaryCrash) {
   // Fig. 2's no-reply rule; applications simply retry.)
   EXPECT_EQ(test::RunOneCallWithRetry(cluster, client_g, g, "put", "k2=after"),
             vr::TxnOutcome::kCommitted);
-  cluster.RunFor(300 * sim::kMillisecond);
+  cluster.RunFor(300 * host::kMillisecond);
   EXPECT_EQ(test::CommittedValue(cluster, g, "k2"), "after");
 }
 
@@ -99,7 +99,7 @@ TEST(ViewChange, CrashedCohortRecoversAndRejoins) {
 
   cluster.Recover(g, victim);
   ASSERT_TRUE(cluster.RunUntilStable());
-  cluster.RunFor(2 * sim::kSecond);
+  cluster.RunFor(2 * host::kSecond);
 
   // The recovered cohort re-initializes from a newview record (it sent a
   // "crashed" acceptance) and ends up with the committed state.
@@ -121,7 +121,7 @@ TEST(ViewChange, MinorityPartitionCannotFormView) {
   std::vector<net::NodeId> majority{cohorts[2]->mid(), cohorts[3]->mid(),
                                     cohorts[4]->mid()};
   cluster.network().Partition({minority, majority});
-  cluster.RunFor(5 * sim::kSecond);
+  cluster.RunFor(5 * host::kSecond);
 
   // The majority side has an active primary; the minority side has none.
   int active_in_minority = 0;
@@ -138,7 +138,7 @@ TEST(ViewChange, MinorityPartitionCannotFormView) {
   // Healing reunites the group into a single active view.
   cluster.network().Heal();
   ASSERT_TRUE(cluster.RunUntilStable());
-  cluster.RunFor(2 * sim::kSecond);
+  cluster.RunFor(2 * host::kSecond);
   int actives = 0;
   for (auto* c : cohorts) {
     if (c->IsActivePrimary()) ++actives;
@@ -155,7 +155,7 @@ TEST(ViewChange, WorkContinuesAcrossPartitionOfPrimary) {
   ASSERT_TRUE(cluster.RunUntilStable());
   ASSERT_EQ(RunOneCall(cluster, client_g, g, "put", "p=before"),
             vr::TxnOutcome::kCommitted);
-  cluster.RunFor(300 * sim::kMillisecond);
+  cluster.RunFor(300 * host::kMillisecond);
 
   // Isolate the server primary from everyone (server backups + clients).
   auto cohorts = cluster.Cohorts(g);
@@ -171,7 +171,7 @@ TEST(ViewChange, WorkContinuesAcrossPartitionOfPrimary) {
   ASSERT_TRUE(cluster.RunUntilStable());
   EXPECT_EQ(test::RunOneCallWithRetry(cluster, client_g, g, "put", "p=after"),
             vr::TxnOutcome::kCommitted);
-  cluster.RunFor(300 * sim::kMillisecond);
+  cluster.RunFor(300 * host::kMillisecond);
   EXPECT_EQ(test::CommittedValue(cluster, g, "p"), "after");
 
   // The stale primary cannot commit anything: §4.1 "The old primary will not
@@ -179,7 +179,7 @@ TEST(ViewChange, WorkContinuesAcrossPartitionOfPrimary) {
   // cannot force their effects to the backups."
   cluster.network().Heal();
   ASSERT_TRUE(cluster.RunUntilStable());
-  cluster.RunFor(2 * sim::kSecond);
+  cluster.RunFor(2 * host::kSecond);
   EXPECT_EQ(test::CommittedValue(cluster, g, "p"), "after");
 }
 
@@ -195,7 +195,7 @@ TEST(ViewChange, MajorityCrashIsCatastrophicUntilRecovery) {
 
   for (std::size_t i = 0; i < 3; ++i) cluster.Crash(g, i);
   for (std::size_t i = 0; i < 3; ++i) cluster.Recover(g, i);
-  EXPECT_FALSE(cluster.RunUntilStable(5 * sim::kSecond));
+  EXPECT_FALSE(cluster.RunUntilStable(5 * host::kSecond));
   for (auto* c : cluster.Cohorts(g)) {
     EXPECT_NE(c->status(), core::Status::kActive);
   }
@@ -216,7 +216,7 @@ TEST(ViewChange, BothBackupsCrashAndRecover) {
   for (std::size_t i = 0; i < 3; ++i) {
     if (i != primary) cluster.Crash(g, i);
   }
-  cluster.RunFor(500 * sim::kMillisecond);
+  cluster.RunFor(500 * host::kMillisecond);
   for (std::size_t i = 0; i < 3; ++i) {
     if (i != primary) cluster.Recover(g, i);
   }
@@ -246,12 +246,12 @@ TEST(ViewChange, PaperSection4SafetyExample) {
   cluster.network().Partition(
       {{cohorts[b]->mid()},
        {cohorts[a]->mid(), cohorts[3 - a - b]->mid()}});
-  cluster.RunFor(200 * sim::kMillisecond);
+  cluster.RunFor(200 * host::kMillisecond);
   cluster.Recover(g, a);  // A returns with a crash-acceptance only
 
   // A (crashed accept, viewid v) + C (normal accept, viewid v): condition 3
   // fails because the primary of view v did not accept normally.
-  EXPECT_FALSE(cluster.RunUntilStable(5 * sim::kSecond));
+  EXPECT_FALSE(cluster.RunUntilStable(5 * host::kSecond));
   for (auto* c : cluster.Cohorts(g)) {
     EXPECT_FALSE(c->IsActivePrimary());
   }
@@ -276,7 +276,7 @@ TEST(ViewChange, RepeatedPrimaryCrashes) {
               vr::TxnOutcome::kCommitted)
         << "round " << round;
     ++expected;
-    cluster.RunFor(300 * sim::kMillisecond);
+    cluster.RunFor(300 * host::kMillisecond);
     const std::size_t primary = IndexOfPrimary(cluster, g);
     ASSERT_LT(primary, 5u);
     cluster.Crash(g, primary);
@@ -285,7 +285,7 @@ TEST(ViewChange, RepeatedPrimaryCrashes) {
   ASSERT_EQ(test::RunOneCallWithRetry(cluster, client_g, g, "add", "ctr=1"),
             vr::TxnOutcome::kCommitted);
   ++expected;
-  cluster.RunFor(300 * sim::kMillisecond);
+  cluster.RunFor(300 * host::kMillisecond);
   EXPECT_EQ(test::CommittedValue(cluster, g, "ctr"),
             std::to_string(expected));
 }

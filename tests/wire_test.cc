@@ -4,6 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <string>
+#include <tuple>
+#include <type_traits>
+#include <typeinfo>
 
 #include "sim/rng.h"
 #include "vr/events.h"
@@ -723,63 +728,73 @@ TEST(Messages, DecodeRejectsBadEnumTags) {
   EXPECT_FALSE(r.ok());
 }
 
+// Gives every field of `v` a non-default value, walking the same field list
+// the codec walks; containers get `n` elements.
+template <typename T>
+void Fill(T& v, std::uint64_t& next, std::size_t n) {
+  if constexpr (std::is_same_v<T, bool>) {
+    v = true;
+  } else if constexpr (std::is_enum_v<T>) {
+    v = WireMax(T{});
+  } else if constexpr (std::is_integral_v<T>) {
+    v = static_cast<T>(++next);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    v = std::string(n, 's');
+  } else if constexpr (wire::kIsA<T, std::vector>) {
+    v.resize(n);
+    for (auto& e : v) Fill(e, next, n);
+  } else if constexpr (wire::kIsA<T, std::optional>) {
+    v.emplace();
+    Fill(*v, next, n);
+  } else {
+    std::apply([&](auto&... f) { (Fill(f, next, n), ...); }, T::Fields(v));
+  }
+}
+
+// Calls fn.template operator()<T>() for every message type and for the
+// event record, which travels inside buffer batches and the event log.
+template <typename Fn>
+void ForEachLayout(Fn&& fn) {
+  vr::Messages::ForEach(fn);
+  fn.template operator()<vr::EventRecord>();
+}
+
 // Fuzz: decoding random bytes must never crash and must flag failure for
 // truncated inputs.
 TEST(Messages, FuzzDecodeIsMemorySafe) {
   sim::Rng rng(99);
-  for (int iter = 0; iter < 2000; ++iter) {
-    std::vector<std::uint8_t> junk(rng.UniformInt(0, 64));
-    for (auto& b : junk) b = static_cast<std::uint8_t>(rng.Next());
-    wire::Reader r(junk);
-    switch (iter % 6) {
-      case 0:
-        (void)vr::CallMsg::Decode(r);
-        break;
-      case 1:
-        (void)vr::ReplyMsg::Decode(r);
-        break;
-      case 2:
-        (void)vr::BufferBatchMsg::Decode(r);
-        break;
-      case 3:
-        (void)vr::EventRecord::Decode(r);
-        break;
-      case 4:
-        (void)vr::AcceptMsg::Decode(r);
-        break;
-      case 5:
-        (void)vr::PrepareMsg::Decode(r);
-        break;
+  ForEachLayout([&]<typename M>() {
+    for (int iter = 0; iter < 300; ++iter) {
+      std::vector<std::uint8_t> junk(rng.UniformInt(0, 64));
+      for (auto& b : junk) b = static_cast<std::uint8_t>(rng.Next());
+      wire::Reader r(junk);
+      (void)M::Decode(r);
     }
-  }
+  });
   SUCCEED();
 }
 
 // Truncation fuzz: every strict prefix of a valid message must decode with
 // ok() == false (never crash, never silently succeed with short reads).
 TEST(Messages, EveryTruncationIsDetected) {
-  vr::BufferBatchMsg b;
-  b.group = 6;
-  b.viewid = {3, 1};
-  b.from = 1;
-  vr::EventRecord rec = vr::EventRecord::CompletedCall(
-      {vr::Aid{6, {3, 1}, 2}, 1},
-      {vr::ObjectEffect{"key", vr::LockMode::kWrite, "value"}});
-  rec.ts = 5;
-  b.events = {rec};
-  auto check = [](const std::vector<std::uint8_t>& bytes, auto decode) {
-    for (std::size_t len = 0; len < bytes.size(); ++len) {
-      std::vector<std::uint8_t> prefix(bytes.begin(),
-                                       bytes.begin() + static_cast<long>(len));
-      Reader r(prefix);
-      decode(r);
-      EXPECT_FALSE(r.ok()) << "prefix length " << len;
+  ForEachLayout([&]<typename M>() {
+    for (std::size_t n : {0, 2}) {
+      M m;
+      std::uint64_t next = 0;
+      Fill(m, next, n);
+      Writer w;
+      m.Encode(w);
+      const std::vector<std::uint8_t> bytes = w.Take();
+      for (std::size_t len = 0; len < bytes.size(); ++len) {
+        std::vector<std::uint8_t> prefix(
+            bytes.begin(), bytes.begin() + static_cast<long>(len));
+        Reader r(prefix);
+        (void)M::Decode(r);
+        EXPECT_FALSE(r.ok()) << typeid(M).name() << " prefix length " << len
+                             << " of " << bytes.size();
+      }
     }
-  };
-  check(vr::EncodeMsg(b),
-        [](Reader& r) { (void)vr::BufferBatchMsg::Decode(r); });
-  check(vr::EncodeMsg(SampleAck()),
-        [](Reader& r) { (void)vr::BufferAckMsg::Decode(r); });
+  });
 }
 
 }  // namespace

@@ -41,7 +41,7 @@ TEST(Bank, TransfersConserveMoney) {
       },
       workload::DriverOptions{.total_txns = 40, .max_inflight = 2});
   ASSERT_TRUE(driver.Run());
-  cluster.RunFor(2 * sim::kSecond);
+  cluster.RunFor(2 * host::kSecond);
 
   EXPECT_EQ(workload::CommittedBankTotal(cluster, bank, 4), 400);
   EXPECT_GT(driver.accounting().committed, 0u);
@@ -66,9 +66,9 @@ TEST(Bank, OverdraftAborts) {
         outcome = o;
         done = true;
       });
-  while (!done) cluster.RunFor(10 * sim::kMillisecond);
+  while (!done) cluster.RunFor(10 * host::kMillisecond);
   EXPECT_EQ(outcome, vr::TxnOutcome::kAborted);
-  cluster.RunFor(500 * sim::kMillisecond);
+  cluster.RunFor(500 * host::kMillisecond);
   EXPECT_EQ(workload::CommittedBankTotal(cluster, bank, 2), 10);
 }
 
@@ -94,7 +94,7 @@ TEST(Bank, CrossGroupTransferIsAtomicUnderPrimaryCrash) {
       },
       workload::DriverOptions{.total_txns = 30, .max_inflight = 2});
   bool crashed = false;
-  cluster.sim().scheduler().After(60 * sim::kMillisecond, [&] {
+  cluster.sim().scheduler().After(60 * host::kMillisecond, [&] {
     for (auto* c : cluster.Cohorts(bank_b)) {
       if (c->IsActivePrimary()) {
         c->Crash();
@@ -112,7 +112,7 @@ TEST(Bank, CrossGroupTransferIsAtomicUnderPrimaryCrash) {
     }
   }
   ASSERT_TRUE(cluster.RunUntilStable());
-  cluster.RunFor(5 * sim::kSecond);
+  cluster.RunFor(5 * host::kSecond);
 
   // Conservation: whatever committed, total money is unchanged — unless some
   // outcome is unknown, in which case the range widens by that much.
@@ -139,7 +139,7 @@ TEST(Airline, NoOverselling) {
       workload::DriverOptions{
           .total_txns = 12, .max_inflight = 3, .retries_per_txn = 5});
   ASSERT_TRUE(driver.Run());
-  cluster.RunFor(2 * sim::kSecond);
+  cluster.RunFor(2 * host::kSecond);
 
   // Exactly 5 bookings can commit; the rest abort with "sold out".
   // (Lock-contention aborts are retried by the driver, as a real booking
@@ -171,7 +171,7 @@ TEST(Airline, MultiLegItineraryIsAllOrNothing) {
       },
       workload::DriverOptions{.total_txns = 3, .max_inflight = 1});
   ASSERT_TRUE(driver.Run());
-  cluster.RunFor(2 * sim::kSecond);
+  cluster.RunFor(2 * host::kSecond);
 
   EXPECT_EQ(driver.accounting().committed, 1u);
   EXPECT_EQ(workload::CommittedSeats(cluster, west, "W1"), 0);
@@ -185,18 +185,18 @@ TEST(FailureSchedule, ArmsAndFires) {
   ASSERT_TRUE(cluster.RunUntilStable());
 
   workload::ArmFailureSchedule(
-      cluster, {workload::FailureEvent::Crash(2 * sim::kSecond, g, 0),
-                workload::FailureEvent::Recover(4 * sim::kSecond, g, 0)});
-  cluster.RunFor(3 * sim::kSecond);
+      cluster, {workload::FailureEvent::Crash(2 * host::kSecond, g, 0),
+                workload::FailureEvent::Recover(4 * host::kSecond, g, 0)});
+  cluster.RunFor(3 * host::kSecond);
   EXPECT_EQ(cluster.CohortAt(g, 0).status(), core::Status::kCrashed);
-  cluster.RunFor(2 * sim::kSecond);
+  cluster.RunFor(2 * host::kSecond);
   EXPECT_NE(cluster.CohortAt(g, 0).status(), core::Status::kCrashed);
 }
 
 TEST(FailureSchedule, RandomScheduleIsDeterministic) {
   sim::Rng r1(9), r2(9);
-  auto s1 = workload::RandomCrashSchedule(r1, 1, 3, 60 * sim::kSecond, 10, 2);
-  auto s2 = workload::RandomCrashSchedule(r2, 1, 3, 60 * sim::kSecond, 10, 2);
+  auto s1 = workload::RandomCrashSchedule(r1, 1, 3, 60 * host::kSecond, 10, 2);
+  auto s2 = workload::RandomCrashSchedule(r2, 1, 3, 60 * host::kSecond, 10, 2);
   ASSERT_EQ(s1.size(), s2.size());
   for (std::size_t i = 0; i < s1.size(); ++i) {
     EXPECT_EQ(s1[i].at, s2[i].at);
