@@ -801,9 +801,7 @@ const char* MsgTypeName(MsgType t);
 // Serializes a message into a frame payload.
 template <typename M>
 std::vector<std::uint8_t> EncodeMsg(const M& m) {
-  wire::Writer w;
-  m.Encode(w);
-  return w.Take();
+  return wire::ToBytes(m);
 }
 
 }  // namespace vsr::vr
