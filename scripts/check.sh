@@ -24,7 +24,8 @@
 # genuinely multithreaded code — host conformance + the socket-host
 # integration smokes (3 replicas over real TCP loopback with a primary kill,
 # and cross-group fused 2PC, DESIGN.md §13) — under it, plus a plain-build
-# vrd run.
+# vrd run and a 6 s benchmark run of each real-host workload, which must
+# report "correct": true and "failed": 0.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -91,6 +92,22 @@ if [[ "${CHECK_REAL_HOST:-0}" == "1" ]]; then
     -R 'host_conformance_test|socket_host_test'
   echo "== real host (vrd smoke: sockets + view change) =="
   build/src/host/vrd --txns 300 --kill-primary
+  # The end-to-end real-host run: a short benchmark pass per real-host
+  # workload must pass its correctness checks with no failed operation.
+  echo "== real host (perfbench: short end-to-end runs) =="
+  for w in deposit-1g transfer-2g failover-1g; do
+    last="$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 6 \
+              --trace 0 | tail -n 1)"
+    if ! python3 -c '
+import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)
+' "$last"; then
+      echo "FAIL: perfbench $w: ${last:0:300}" >&2
+      exit 1
+    fi
+    echo "--- perfbench $w OK"
+  done
 fi
 
 if [[ "${CHECK_SOAK:-0}" == "1" ]]; then

@@ -145,9 +145,6 @@ void Cohort::ResetVolatileState() {
   lease_grant_seq_ = 0;
   object_commit_vs_.clear();
   commit_vs_floor_ = Viewstamp{};
-  for (auto& [dest, timer] : decision_timers_) host_.timers().Cancel(timer);
-  decision_timers_.clear();
-  decision_queue_.clear();
   dead_subs_by_txn_.clear();
   external_txns_.clear();
   committing_external_.clear();

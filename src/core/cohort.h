@@ -272,9 +272,6 @@ struct CohortStats {
   std::uint64_t reads_served = 0;
   std::uint64_t backup_reads_served = 0;
   std::uint64_t reads_refused = 0;
-  // Commit decisions that rode a sibling decision's CommitMsg to the same
-  // destination instead of a dedicated frame per decision.
-  std::uint64_t decision_piggybacked = 0;
   // §3.7: transactions whose participants were all read-only, where the
   // coordinator skipped the committing/done records entirely (each
   // participant already committed at prepare; nobody holds locks or will
@@ -503,10 +500,6 @@ class Cohort : public net::FrameHandler {
   void OnPrepare(const vr::PrepareMsg& m);
   host::Task<void> RunPrepare(vr::PrepareMsg m);
   void OnCommit(const vr::CommitMsg& m);
-  // Stash-or-run one decision (the CommitMsg body or one piggybacked extra):
-  // defers behind an in-flight prepare force for the same aid, else spawns
-  // RunCommit.
-  void DispatchCommit(const vr::CommitMsg& m);
   host::Task<void> RunCommit(vr::CommitMsg m);
   // Applies a commit decision stashed while a prepare for `aid` was in
   // flight (fused pipeline, DESIGN.md §13).
@@ -580,13 +573,6 @@ class Cohort : public net::FrameHandler {
   struct CommitJoin;
   host::Task<void> CommitOne(Aid aid, GroupId g, Viewstamp decision_vs,
                             bool fused, std::shared_ptr<CommitJoin> join);
-  // Decision piggybacking: first-attempt commit decisions for the same
-  // destination primary coalesce into one CommitMsg (body + extras) behind
-  // a short timer instead of a dedicated frame per decision. Retries bypass
-  // the queue.
-  void EnqueueDecision(Mid dest, GroupId g, Aid aid, Viewstamp decision_vs,
-                       bool fused);
-  void FlushDecisions(Mid dest);
   host::Task<void> AbortEverywhere(Aid aid, Pset pset,
                                   std::vector<GroupId> extra_groups = {});
   void OnBeginTxn(const vr::BeginTxnMsg& m);
@@ -806,17 +792,6 @@ class Cohort : public net::FrameHandler {
   std::map<std::pair<Aid, GroupId>, std::uint64_t> commit_corr_;
   std::map<Aid, std::uint64_t> query_corr_;
   std::map<GroupId, std::vector<std::uint64_t>> probe_corr_;
-  // Decision piggybacking (as coordinator): first-attempt commit decisions
-  // queued per destination primary, flushed as one CommitMsg (body +
-  // extras) when the coalesce timer fires.
-  struct QueuedDecision {
-    GroupId group = 0;
-    Aid aid;
-    Viewstamp decision_vs;
-    bool fused = false;
-  };
-  std::map<Mid, std::vector<QueuedDecision>> decision_queue_;
-  std::map<Mid, host::TimerId> decision_timers_;
 
   CohortStats stats_;
 

@@ -61,13 +61,6 @@ struct CohortOptions {
   int prepare_attempts = 3;
   host::Duration commit_ack_timeout = 80 * host::kMillisecond;
   int commit_attempts = 5;
-  // Commit decisions bound for the same participant primary coalesce behind
-  // this delay into one CommitMsg frame (body + piggybacked extras) instead
-  // of a dedicated frame per decision. Keep it well under commit_ack_timeout;
-  // the delay defers when participants *apply* a fused commit (the client
-  // was already answered at committing-buffer time, DESIGN.md §13), so the
-  // default stays 0 — one frame per decision, fan-out on the same tick.
-  host::Duration decision_coalesce_delay = 0;
   host::Duration probe_timeout = 50 * host::kMillisecond;
   int probe_rounds = 4;
   // Blocked prepared participants query the coordinator group this often
@@ -94,7 +87,7 @@ struct CohortOptions {
   // read frames exist and every delivered-frame digest is unchanged.
   bool backup_reads = false;
   // Validity of each grant from the moment the backup receives it. Renewed
-  // at half-life on ack processing; must comfortably exceed the ack
+  // every duration/8 on ack processing; must comfortably exceed the ack
   // round-trip under load, and should stay below underling_timeout so a
   // partitioned leaseholder's staleness window is bounded by less than the
   // time a new view needs to form and make progress.

@@ -410,21 +410,13 @@ host::Task<void> Cohort::CommitOne(Aid aid, GroupId g, Viewstamp decision_vs,
     if (!entry) break;
     const std::uint64_t corr = NextCorrId();
     commit_corr_[{aid, g}] = corr;
-    if (attempt == 0 && options_.decision_coalesce_delay > 0) {
-      // First transmission may coalesce with sibling decisions bound for
-      // the same primary (one CommitMsg frame, extras piggybacked).
-      // Retries below always go out alone — a retry means the coalesced
-      // path already failed once for this destination.
-      EnqueueDecision(entry->view.primary, g, aid, decision_vs, fused);
-    } else {
-      vr::CommitMsg m;
-      m.group = g;
-      m.aid = aid;
-      m.reply_to = self_;
-      m.decision_vs = decision_vs;
-      m.fused = fused;
-      SendMsg(entry->view.primary, m);
-    }
+    vr::CommitMsg m;
+    m.group = g;
+    m.aid = aid;
+    m.reply_to = self_;
+    m.decision_vs = decision_vs;
+    m.fused = fused;
+    SendMsg(entry->view.primary, m);
     auto r = co_await commit_waiters_.Await(
         corr, options_.commit_ack_timeout + options_.buffer.force_timeout);
     if (auto it = commit_corr_.find({aid, g});
@@ -448,42 +440,6 @@ host::Task<void> Cohort::CommitOne(Aid aid, GroupId g, Viewstamp decision_vs,
     // Unreached participants resolve the outcome via queries (§3.4).
   }
   if (--join->remaining == 0) bool_waiters_.Fulfill(join->corr, true);
-}
-
-void Cohort::EnqueueDecision(Mid dest, GroupId g, Aid aid,
-                             Viewstamp decision_vs, bool fused) {
-  auto& q = decision_queue_[dest];
-  q.push_back(QueuedDecision{g, aid, decision_vs, fused});
-  if (q.size() > 1) return;  // flush timer armed by the first entry
-  decision_timers_[dest] = host_.timers().After(
-      options_.decision_coalesce_delay, [this, dest] { FlushDecisions(dest); });
-}
-
-void Cohort::FlushDecisions(Mid dest) {
-  decision_timers_.erase(dest);
-  auto it = decision_queue_.find(dest);
-  if (it == decision_queue_.end()) return;
-  std::vector<QueuedDecision> q = std::move(it->second);
-  decision_queue_.erase(it);
-  if (q.empty()) return;
-  // Every decision queued for one destination targets the same group — a
-  // cohort serves exactly one group — so the first entry shapes the frame
-  // and the rest ride as trailer extras.
-  vr::CommitMsg m;
-  m.group = q[0].group;
-  m.aid = q[0].aid;
-  m.reply_to = self_;
-  m.decision_vs = q[0].decision_vs;
-  m.fused = q[0].fused;
-  for (std::size_t i = 1; i < q.size(); ++i) {
-    vr::CommitExtra e;
-    e.aid = q[i].aid;
-    e.decision_vs = q[i].decision_vs;
-    e.fused = q[i].fused;
-    m.extras.push_back(e);
-    ++stats_.decision_piggybacked;
-  }
-  SendMsg(dest, m);
 }
 
 host::Task<void> Cohort::AbortEverywhere(Aid aid, Pset pset,

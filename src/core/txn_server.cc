@@ -906,41 +906,18 @@ std::vector<std::string> Cohort::CommitLocally(Aid aid) {
 
 void Cohort::OnCommit(const vr::CommitMsg& m) {
   if (!IsActivePrimary()) {
-    // Answer every decision the frame carried (body + piggybacked extras):
-    // the coordinator has an independent waiter per transaction.
-    auto reject = [&](Aid aid) {
-      vr::CommitDoneMsg r;
-      r.aid = aid;
-      r.from_group = group_;
-      r.wrong_primary = true;
-      if (status_ == Status::kActive) {
-        r.view_known = true;
-        r.new_viewid = cur_viewid_;
-        r.new_view = cur_view_;
-      }
-      SendMsg(m.reply_to, r);
-    };
-    reject(m.aid);
-    for (const vr::CommitExtra& e : m.extras) reject(e.aid);
+    vr::CommitDoneMsg r;
+    r.aid = m.aid;
+    r.from_group = group_;
+    r.wrong_primary = true;
+    if (status_ == Status::kActive) {
+      r.view_known = true;
+      r.new_viewid = cur_viewid_;
+      r.new_view = cur_view_;
+    }
+    SendMsg(m.reply_to, r);
     return;
   }
-  // Unpack piggybacked sibling decisions: each is dispatched exactly as if
-  // it had arrived in its own CommitMsg and acked with its own done.
-  vr::CommitMsg body = m;
-  body.extras.clear();
-  DispatchCommit(body);
-  for (const vr::CommitExtra& e : m.extras) {
-    vr::CommitMsg one;
-    one.group = m.group;
-    one.aid = e.aid;
-    one.reply_to = m.reply_to;
-    one.decision_vs = e.decision_vs;
-    one.fused = e.fused;
-    DispatchCommit(one);
-  }
-}
-
-void Cohort::DispatchCommit(const vr::CommitMsg& m) {
   // A (re)transmitted prepare for this transaction is mid-force. With the
   // fused fan-out this interleaving is routine — the decision can reach us
   // while a duplicate prepare is still suspended — so sequence the commit

@@ -68,8 +68,9 @@ struct CommBufferOptions {
   bool snapshot_catchup = true;
   // Backup read leases (DESIGN.md §14): when nonzero, processing an ack
   // from a backup re-grants it a read lease of this duration once at least
-  // half the duration has elapsed since the previous grant — renewal rides
-  // the ack traffic, no dedicated timer. 0 disables granting entirely.
+  // an eighth of the duration has elapsed since the previous grant —
+  // renewal rides the ack traffic, no dedicated timer. 0 disables granting
+  // entirely.
   host::Duration lease_duration = 0;
 };
 
@@ -79,7 +80,7 @@ class CommBuffer {
   // when a force is abandoned. on_needs_snapshot(backup) fires when a backup
   // falls behind the GC watermark and must catch up via state transfer; the
   // owner is expected to serve it a snapshot (DESIGN.md §9).
-  // on_lease(backup, stable_ts) fires when the lease half-life policy wants
+  // on_lease(backup, stable_ts) fires when the duration/8 renewal wants
   // a fresh grant sent to `backup`; the owner builds and sends the
   // LeaseGrantMsg (it knows the viewid and its own mid is already here, but
   // message construction stays with the cohort, like batches).
@@ -212,7 +213,7 @@ class CommBuffer {
     // at or below it are retransmissions of an episode already handled.
     std::uint64_t rejoin_epoch = 0;
     // Next time an ack from this backup triggers a fresh read-lease grant
-    // (lease half-life renewal; 0 = grant on the first ack).
+    // (renewed every lease_duration/8; 0 = grant on the first ack).
     host::Time lease_renew_at = 0;
   };
 

@@ -397,24 +397,6 @@ struct PrepareReplyMsg {
   }
 };
 
-// One additional commit decision riding a CommitMsg frame to the same
-// primary (decision piggybacking, the PR 9 follow-on): the coordinator
-// coalesces decisions destined for one cohort into a single frame instead
-// of a dedicated frame per transaction. Each extra is processed exactly
-// like the carrying message's own decision and acked with its own
-// CommitDoneMsg.
-struct CommitExtra {
-  Aid aid;
-  Viewstamp decision_vs;
-  bool fused = false;
-
-  static auto Fields(auto& e) {
-    return std::tie(e.aid, e.decision_vs, e.fused);
-  }
-  void Encode(wire::Writer& w) const { w.Put(*this); }
-  static CommitExtra Decode(wire::Reader& r) { return r.Get<CommitExtra>(); }
-};
-
 struct CommitMsg {
   static constexpr MsgType kType = MsgType::kCommit;
   static constexpr const char* kName = "commit";
@@ -431,13 +413,9 @@ struct CommitMsg {
   // True when the fan-out overlapped the decision force (the committing
   // record may not have reached a sub-majority yet when this was sent).
   bool fused = false;
-  // Piggybacked decisions for OTHER transactions whose commit fan-out
-  // targets the same primary (wire trailer — appended, never reordered).
-  std::vector<CommitExtra> extras;
 
   static auto Fields(auto& m) {
-    return std::tie(m.group, m.aid, m.reply_to, m.decision_vs, m.fused,
-                    m.extras);
+    return std::tie(m.group, m.aid, m.reply_to, m.decision_vs, m.fused);
   }
   void Encode(wire::Writer& w) const { w.Put(*this); }
   static CommitMsg Decode(wire::Reader& r) { return r.Get<CommitMsg>(); }

@@ -1,6 +1,9 @@
 // Tests for the network observation tap and the FrameLog renderer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "net/frame_log.h"
 #include "tests/test_util.h"
 
@@ -75,6 +78,36 @@ TEST(FrameLog, TransactionMessageFlow) {
   EXPECT_EQ(log.CountType(vr::MsgType::kPrepareReply), 1u);
   EXPECT_EQ(log.CountType(vr::MsgType::kCommit), 1u);
   EXPECT_EQ(log.CountType(vr::MsgType::kCommitDone), 1u);
+}
+
+// Every message type renders by name, including the ones numbered after the
+// core protocol (shard pulls, leases, backup reads); a type no message uses
+// renders as "?".
+TEST(FrameLog, RendersEveryMessageTypeByName) {
+  Cluster cluster(ClusterOptions{.seed = 304});
+  struct Sink : net::FrameHandler {
+    void OnFrame(const net::Frame&) override {}
+  } sink;
+  const net::NodeId a = cluster.AllocateMid();
+  const net::NodeId b = cluster.AllocateMid();
+  cluster.network().Register(b, &sink);
+  net::FrameLog log(cluster.sim(), cluster.network());
+  const std::uint16_t types[] = {
+      static_cast<std::uint16_t>(vr::MsgType::kShardPull),
+      static_cast<std::uint16_t>(vr::MsgType::kBackupReadReply), 999};
+  for (std::uint16_t t : types) cluster.network().Send(a, b, t, {});
+  cluster.RunFor(100 * host::kMillisecond);
+
+  // Delivery order follows the simulated delays, so match lines as a set.
+  const auto lines = log.Render();
+  ASSERT_EQ(lines.size(), 3u);
+  for (const char* name : {" shard-pull ", " backup-read-reply ", " ? "}) {
+    EXPECT_TRUE(std::any_of(lines.begin(), lines.end(),
+                            [&](const std::string& l) {
+                              return l.find(name) != std::string::npos;
+                            }))
+        << "no line renders" << name;
+  }
 }
 
 }  // namespace

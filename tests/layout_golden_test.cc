@@ -289,26 +289,15 @@ TEST(LayoutGolden, EveryMessageType) {
       "0000000002010102010000000000000300000031000000020000003200000033"
       "0000002100000000000000220000002300000000000000");
 
-  vr::CommitExtra extra;
-  extra.aid = {0x0b1, {0x0b2, 0x0b3}, 0x0b4};
-  extra.decision_vs = {{0x0b5, 0x0b6}, 0x0b7};
-  extra.fused = true;
-  CheckLayout("commit-extra", extra,
-      "b100000000000000b200000000000000b3000000b400000000000000b5000000"
-      "00000000b6000000b70000000000000001");
-
   vr::CommitMsg commit;
   commit.group = 0x0a01;
   commit.aid = kAid;
   commit.reply_to = 0x0a02;
   commit.decision_vs = kVs;
   commit.fused = true;
-  commit.extras = {extra};
   CheckLayout("commit", commit,
       "010a000000000000110000000000000012000000000000001300000014000000"
-      "00000000020a0000210000000000000022000000230000000000000001010000"
-      "00b100000000000000b200000000000000b3000000b400000000000000b50000"
-      "0000000000b6000000b70000000000000001");
+      "00000000020a0000210000000000000022000000230000000000000001");
 
   vr::CommitDoneMsg done;
   done.aid = kAid;

@@ -7,6 +7,7 @@
 //    a view change (demonstrated, as an ablation)
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 
 #include "check/invariants.h"
@@ -265,6 +266,84 @@ TEST(Dedup, RetransmittedCallIsAnsweredNotReExecuted) {
     suppressed += c->stats().duplicate_calls_suppressed;
   }
   EXPECT_GT(suppressed, 0u);
+}
+
+// Fig. 2 step 4: a call rejected because the server group changed views is
+// retried at the new primary only when the transport cannot duplicate frames
+// (assume_no_duplicates); by default the transaction aborts (§3.1). Runs one
+// call through a client cache left pointing at the pre-view-change primary
+// and reports the outcome and the server group's wrong-view rejections.
+struct StaleCacheCall {
+  vr::TxnOutcome outcome = vr::TxnOutcome::kUnknown;
+  std::uint64_t rejected_wrong_view = 0;
+};
+
+StaleCacheCall CallThroughStaleCache(bool assume_no_duplicates) {
+  ClusterOptions opts;
+  opts.seed = 95;
+  opts.net.duplicate_probability = 0.0;  // the option's stated premise
+  opts.cohort.assume_no_duplicates = assume_no_duplicates;
+  Cluster cluster(opts);
+  auto kv = cluster.AddGroup("kv", 3);
+  auto agents = cluster.AddGroup("agents", 3);
+  RegisterKvProcs(cluster, kv);
+  cluster.Start();
+  StaleCacheCall out;
+  if (!cluster.RunUntilStable()) return out;
+  // Warm the agents' cache: it now names the kv primary and its viewid.
+  if (test::RunOneCall(cluster, agents, kv, "put", "x=1") !=
+      vr::TxnOutcome::kCommitted) {
+    return out;
+  }
+
+  // Cut the kv primary off from its backups until they form a newer view,
+  // then heal. Nothing tells the agents, so their cache still points at the
+  // old primary and the old viewid.
+  core::Cohort* old_primary = cluster.AnyPrimary(kv);
+  if (old_primary == nullptr) return out;
+  const vr::ViewId old_view = old_primary->cur_viewid();
+  for (auto* c : cluster.Cohorts(kv)) {
+    if (c != old_primary) {
+      cluster.network().SetLinkDown(old_primary->mid(), c->mid(), true);
+    }
+  }
+  const host::Time deadline = cluster.sim().Now() + 10 * host::kSecond;
+  while (cluster.sim().Now() < deadline) {
+    core::Cohort* p = cluster.AnyPrimary(kv);
+    if (p != nullptr && p != old_primary && old_view < p->cur_viewid()) break;
+    cluster.RunFor(100 * host::kMillisecond);
+  }
+  for (auto* c : cluster.Cohorts(kv)) {
+    if (c != old_primary) {
+      cluster.network().SetLinkDown(old_primary->mid(), c->mid(), false);
+    }
+  }
+  if (!cluster.RunUntilStable()) return out;
+  core::Cohort* new_primary = cluster.AnyPrimary(kv);
+  if (new_primary == nullptr || !(old_view < new_primary->cur_viewid())) {
+    return out;
+  }
+
+  std::uint64_t before = 0;
+  for (auto* c : cluster.Cohorts(kv)) {
+    before += c->stats().calls_rejected_wrong_view;
+  }
+  out.outcome = test::RunOneCall(cluster, agents, kv, "put", "x=2");
+  for (auto* c : cluster.Cohorts(kv)) {
+    out.rejected_wrong_view += c->stats().calls_rejected_wrong_view;
+  }
+  out.rejected_wrong_view -= before;
+  return out;
+}
+
+TEST(StaleCache, WrongViewRetryNeedsADuplicateFreeNetwork) {
+  const StaleCacheCall retried = CallThroughStaleCache(true);
+  EXPECT_GE(retried.rejected_wrong_view, 1u);
+  EXPECT_EQ(retried.outcome, vr::TxnOutcome::kCommitted);
+
+  const StaleCacheCall aborted = CallThroughStaleCache(false);
+  EXPECT_GE(aborted.rejected_wrong_view, 1u);
+  EXPECT_EQ(aborted.outcome, vr::TxnOutcome::kAborted);
 }
 
 TEST(Replication, OutOfOrderBatchesRecoverViaGapRequests) {
@@ -848,10 +927,29 @@ TEST(Queries, PartitionedParticipantResolvesViaSiblings) {
 
   core::Cohort* coord = cluster.AnyPrimary(bank.client_group);
   ASSERT_NE(coord, nullptr);
-  // Stretch the decision coalesce window so the commit fan-out provably
-  // happens after the link cut below; only the retry path (direct sends)
-  // can deliver the decision, and those the cut blocks toward shard 1.
-  coord->mutable_options().decision_coalesce_delay = 5 * host::kSecond;
+  // Hold the commit back from shard 1: the moment shard 1's prepare-reply
+  // reaches the coordinator (the observer runs before the handler), cut
+  // every coordinator<->shard-1 link in both directions. Shard 1 is then
+  // prepared but can neither receive the commit fan-out or its retries nor
+  // reach any coordinator cohort with its queries.
+  bool cut = false;
+  cluster.network().set_observer([&](const net::Frame& f) {
+    if (cut ||
+        static_cast<vr::MsgType>(f.type) != vr::MsgType::kPrepareReply) {
+      return;
+    }
+    const auto shard1 = cluster.Cohorts(bank.shards[1]);
+    if (std::none_of(shard1.begin(), shard1.end(),
+                     [&](core::Cohort* c) { return c->mid() == f.from; })) {
+      return;
+    }
+    cut = true;
+    for (auto* a : cluster.Cohorts(bank.client_group)) {
+      for (auto* b : shard1) {
+        cluster.network().SetLinkDown(a->mid(), b->mid(), true);
+      }
+    }
+  });
 
   client::ShardRouter router(cluster.directory());
   vr::TxnOutcome outcome = vr::TxnOutcome::kUnknown;
@@ -867,20 +965,10 @@ TEST(Queries, PartitionedParticipantResolvesViaSiblings) {
     cluster.RunFor(100 * host::kMicrosecond);
   }
   ASSERT_TRUE(done);
+  ASSERT_TRUE(cut);
   ASSERT_EQ(outcome, vr::TxnOutcome::kCommitted);  // fused, reported at buffer
 
-  // Both participants are prepared; the decision is replicated at the
-  // coordinator group but no CommitMsg has been flushed yet (and the direct
-  // retry sends have not started). Cut every coordinator<->shard-1 link
-  // (both directions) NOW: shard 1 can neither receive the commit nor reach
-  // any coordinator cohort with its queries.
-  for (auto* a : cluster.Cohorts(bank.client_group)) {
-    for (auto* b : cluster.Cohorts(bank.shards[1])) {
-      cluster.network().SetLinkDown(a->mid(), b->mid(), true);
-    }
-  }
-
-  // Shard 0 learns the decision from the coordinator's commit retries;
+  // Shard 0 learns the decision from the coordinator's commit fan-out;
   // shard 1's janitor queries the coordinator group (dead air), then falls
   // back to its pset sibling — shard 0 — and resolves committed. No heal.
   const host::Time resolve_deadline = cluster.sim().Now() + 60 * host::kSecond;
@@ -895,6 +983,7 @@ TEST(Queries, PartitionedParticipantResolvesViaSiblings) {
     EXPECT_TRUE(c->objects().ActiveTxns().empty())
         << "cohort " << c->mid() << " still holds the prepared transaction";
   }
+  cluster.network().set_observer(nullptr);
   cluster.network().Heal();
 }
 

@@ -234,49 +234,8 @@ TEST(Messages, GoldenBytesCommitMsg) {
       0x01, 0, 0, 0,              // decision_vs.view.mid = 1
       0x07, 0, 0, 0, 0, 0, 0, 0,  // decision_vs.ts = 7
       0x01,                       // fused = true
-      0x00, 0, 0, 0,              // extras count = 0 (trailer)
   };
   EXPECT_EQ(vr::EncodeMsg(m), expected);
-}
-
-// Piggybacked sibling decisions ride as a wire trailer: appended, never
-// reordered — a decoder reading the prefix sees the plain commit unchanged.
-TEST(Messages, CommitMsgExtrasRoundTrip) {
-  vr::CommitMsg m;
-  m.group = 3;
-  m.aid = {1, {2, 2}, 9};
-  m.reply_to = 4;
-  m.decision_vs = vr::Viewstamp{{5, 1}, 7};
-  m.fused = true;
-  vr::CommitExtra e1;
-  e1.aid = {1, {2, 2}, 10};
-  e1.decision_vs = vr::Viewstamp{{5, 1}, 8};
-  e1.fused = false;
-  vr::CommitExtra e2;
-  e2.aid = {1, {2, 2}, 11};
-  e2.decision_vs = vr::Viewstamp{{5, 1}, 9};
-  e2.fused = true;
-  m.extras = {e1, e2};
-  auto out = RoundTrip(m);
-  ASSERT_EQ(out.extras.size(), 2u);
-  EXPECT_EQ(out.extras[0].aid, e1.aid);
-  EXPECT_EQ(out.extras[0].decision_vs, e1.decision_vs);
-  EXPECT_FALSE(out.extras[0].fused);
-  EXPECT_EQ(out.extras[1].aid, e2.aid);
-  EXPECT_EQ(out.extras[1].decision_vs, e2.decision_vs);
-  EXPECT_TRUE(out.extras[1].fused);
-
-  // Every strict prefix of the encoding must be rejected, extras included.
-  Writer w;
-  m.Encode(w);
-  auto bytes = w.Take();
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    std::vector<std::uint8_t> prefix(bytes.begin(),
-                                     bytes.begin() + static_cast<long>(len));
-    Reader r(prefix);
-    (void)vr::CommitMsg::Decode(r);
-    EXPECT_FALSE(r.ok()) << "prefix length " << len;
-  }
 }
 
 // The prepared-ack's piggybacked record identity (prepared_vs) is pinned as
